@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import decompose_variable, project_multiset
+from .compositions import count_compositions, enumerate_compositions
 from .errors import BudgetExceededError
 from .metric import MetricInstance
 
@@ -111,53 +112,34 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
     for pos, e in enumerate(elems):
         positions[decomp.assign[e]].append(pos)
 
-    ncent = len(centers)
-    counted = 0
-    raised: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    vec = np.zeros(ncent, dtype=np.int64)
-
-    def complete(v: np.ndarray) -> np.ndarray | None:
-        out = v.copy()
-        deficit = half - int(out.sum())
-        for i in range(ncent):
-            if deficit == 0:
-                break
-            add = min(int(steps[i]), int(caps[i] - out[i]), deficit)
-            if add > 0:
-                out[i] += add
-                deficit -= add
-        return out if deficit == 0 else None
-
-    def rec(i: int, total: int) -> None:
-        nonlocal counted
-        if i == ncent:
-            counted += 1
-            if counted > budget:
-                raise BudgetExceededError(
-                    f"grid budget exceeded: more than {budget} candidate vectors")
-            done = complete(vec)
-            if done is not None:
-                key = done.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    raised.append(done)
-            return
-        for v in range(0, int(caps[i]) + 1, int(steps[i])):
-            if total + v > half:
-                break
-            vec[i] = v
-            rec(i + 1, total + v)
-        vec[i] = 0
-
-    rec(0, 0)
-    arr = np.array(raised, dtype=np.float64)
+    grid = [range(0, int(c) + 1, int(st)) for c, st in zip(caps, steps)]
+    counted = count_compositions(grid, half, at_most=True)
+    if counted > budget:
+        raise BudgetExceededError(
+            f"grid budget exceeded: {counted} predicted candidate vectors > budget {budget}")
     dq_c = inst.pow_submatrix(centers)
-    m_full = np.array([mv.mult[i] for i in range(ncent)], dtype=np.float64)
-    fvals = np.einsum("bi,ij,bj->b", arr, dq_c, m_full[None, :] - arr)
-    vmin = float(fvals.min())
-    ties = np.flatnonzero(fvals <= vmin)
-    pick = min((tuple(int(x) for x in arr[t]) for t in ties))
+    m_full = np.asarray(mv.mult, dtype=np.float64)
+    vmin, pick = np.inf, None
+    for block in enumerate_compositions(grid, half, at_most=True):
+        # complete each grid vector to exactly k/2 by bounded raises, left to
+        # right, and drop the vectors that stay short
+        deficit = half - block.sum(axis=1)
+        for i in range(len(centers)):
+            add = np.minimum(np.minimum(steps[i], caps[i] - block[:, i]), deficit)
+            block[:, i] += add
+            deficit -= add
+        arr = block[deficit == 0].astype(np.float64)
+        if not arr.shape[0]:
+            continue
+        fvals = np.einsum("bi,ij,bj->b", arr, dq_c, m_full[None, :] - arr)
+        low = float(fvals.min())
+        if low > vmin:
+            continue
+        ties = arr[fvals <= low]
+        # among exact ties the lexicographically smallest vector wins
+        first = tuple(int(x) for x in ties[np.lexsort(ties.T[::-1])[0]])
+        pick = first if low < vmin else min(pick, first)
+        vmin = low
 
     left_pos: list[int] = []
     for c, m in zip(centers, pick):

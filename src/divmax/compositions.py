@@ -1,0 +1,62 @@
+"""Vectors whose i-th entry comes from ``values[i]`` and whose entries sum to
+``total`` (or to at most ``total``), counted exactly and enumerated in blocks.
+
+Rows follow the lexicographic order of value-list positions: the first
+coordinate varies slowest and runs through ``values[0]`` in its given order.
+Each block unranks a range of row numbers against exact completion counts,
+the same counts ``count_compositions`` returns before anything is allocated.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+BLOCK_ROWS = 16384
+
+
+def _completion_tables(values, total: int, at_most: bool):
+    """Value arrays and, per coordinate i, the exact table ``cum[s, j]``: the
+    number of ways to finish coordinates i.. from remaining sum s with a value
+    of position < j at coordinate i.  Entries are Python ints."""
+    vals = [np.asarray(v, dtype=np.int64) for v in values]
+    if total < 0 or any(v.ndim != 1 or (v < 0).any() for v in vals):
+        raise ValueError("compositions need a nonnegative total and one-dimensional "
+                         "lists of nonnegative values")
+    after = np.full(total + 1, 1 if at_most else 0, dtype=object)
+    after[0] = 1
+    cums = []
+    for v in reversed(vals):
+        cum = np.zeros((total + 1, v.size + 1), dtype=object)
+        for j, x in enumerate(v.tolist()):
+            if x <= total:
+                cum[x:, j + 1] = after[:total + 1 - x]
+        cum = cum.cumsum(axis=1)
+        cums.append(cum)
+        after = cum[:, -1]
+    return vals, cums[::-1], after
+
+
+def count_compositions(values, total: int, *, at_most: bool = False) -> int:
+    """Exact number of rows ``enumerate_compositions(values, total)`` yields."""
+    return int(_completion_tables(values, total, at_most)[2][total])
+
+
+def enumerate_compositions(values, total: int, *, at_most: bool = False):
+    """Yield the vectors as int64 blocks of at most ``BLOCK_ROWS`` rows."""
+    vals, cums, after = _completion_tables(values, total, at_most)
+    rows = int(after[total])
+    # Entries past int64 belong to unreachable states; reachable ones are <= rows.
+    flats = [np.minimum(c, np.iinfo(np.int64).max).astype(np.int64).ravel() for c in cums]
+    for start in range(0, rows, BLOCK_ROWS):
+        rank = np.arange(start, min(start + BLOCK_ROWS, rows), dtype=np.int64)
+        rest = np.full(rank.size, total, dtype=np.int64)
+        block = np.empty((rank.size, len(vals)), dtype=np.int64)
+        for i, (v, flat) in enumerate(zip(vals, flats)):
+            base = rest * (v.size + 1)
+            # the last column, the state's whole count, always exceeds rank
+            j = np.zeros(rank.size, dtype=np.int64)
+            for col in range(1, v.size):
+                j += flat[base + col] <= rank
+            rank -= flat[base + j]
+            block[:, i] = v[j]
+            rest -= block[:, i]
+        yield block

@@ -18,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .compositions import enumerate_compositions
 from .errors import EnumerationCapError
 from .metric import MetricInstance
 
@@ -196,9 +197,12 @@ def value_on_multiset(inst: MetricInstance, obj: Objective, mv: MultiplicityVect
     if total % 2:
         raise ValueError(f"bipartition needs an even multiset size, got {total}")
     if len(centers) <= split_cap:
-        splits = _center_splits(tuple(int(m) for m in mult), total // 2)
-        vals = np.einsum("bi,ij,bj->b", splits, d, mult[None, :] - splits)
-        return float(vals.min())
+        # every per-center left count vector 0 <= l <= mult with sum(l) = total / 2
+        best = np.inf
+        for block in enumerate_compositions([range(int(m) + 1) for m in mult], total // 2):
+            left = block.astype(np.float64)
+            best = min(best, float(np.einsum("bi,ij,bj->b", left, d, mult[None, :] - left).min()))
+        return best
     if eps is None:
         raise EnumerationCapError(
             f"{len(centers)} occupied centers exceed the split cap {split_cap}; "
@@ -206,30 +210,6 @@ def value_on_multiset(inst: MetricInstance, obj: Objective, mv: MultiplicityVect
     from .bisection import min_bisection
 
     return min_bisection(inst, mv.expand(), eps).value
-
-
-@lru_cache(maxsize=1024)
-def _center_splits(mult: tuple[int, ...], half: int) -> np.ndarray:
-    """All per-center left counts 0 <= l <= mult with sum(l) == half."""
-    rows: list[tuple[int, ...]] = []
-    suffix = [0] * (len(mult) + 1)
-    for i in range(len(mult) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + mult[i]
-    vec = [0] * len(mult)
-
-    def rec(i: int, remaining: int) -> None:
-        if i == len(mult):
-            if remaining == 0:
-                rows.append(tuple(vec))
-            return
-        hi = min(mult[i], remaining)
-        lo = max(0, remaining - suffix[i + 1])
-        for v in range(lo, hi + 1):
-            vec[i] = v
-            rec(i + 1, remaining - v)
-
-    rec(0, half)
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(mult))
 
 
 def centroid_clique_identity(inst: MetricInstance, subset) -> tuple[float, float]:

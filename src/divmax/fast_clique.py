@@ -138,7 +138,7 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
 
     complete = True
     counted = 0
-    seen: set[bytes] = set()
+    seen: set[tuple[bytes, bytes]] = set()
     sparse: list[tuple[np.ndarray, np.ndarray]] = []  # (cell positions, values)
     vec = np.zeros(ncell, dtype=np.int64)
 
@@ -154,33 +154,40 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
                 deficit -= add
         if deficit:
             return
-        key = out.tobytes()
+        # keyed on the sparse form: a dense key costs 8 bytes per searched cell
+        pos = np.flatnonzero(out)
+        key = (pos.tobytes(), out[pos].tobytes())
         if key not in seen:
             seen.add(key)
-            pos = np.flatnonzero(out)
             sparse.append((pos, out[pos]))
 
-    def rec(i: int, total: int) -> bool:
+    def walk() -> None:
+        """Finish the ladder leaves in lexicographic order until the budget."""
         nonlocal counted, complete
-        if i == ncell:
-            counted += 1
-            finish(vec)
-            if counted >= budget:
-                complete = False
-                return False
-            return True
-        for v in ladders[i]:
-            if total + v > free_k:
-                continue
-            vec[i] = v
-            if not rec(i + 1, total + v):
-                vec[i] = 0
-                return False
-        vec[i] = 0
-        return True
+        rungs = [iter(ladders[0])]  # untried rungs of each cell on the current path
+        sums = [0]                  # prefix sum before each of those cells
+        while rungs:
+            i = len(rungs) - 1
+            v = next((v for v in rungs[i] if sums[i] + v <= free_k), None)
+            if v is None:
+                rungs.pop()
+                sums.pop()
+            elif i + 1 < ncell and sums[i] + v < free_k:
+                vec[i] = v
+                rungs.append(iter(ladders[i + 1]))
+                sums.append(sums[i] + v)
+            else:
+                # a leaf: every later cell can only take its last rung, 0
+                vec[i] = v
+                vec[i + 1:] = 0
+                counted += 1
+                finish(vec)
+                if counted >= budget:
+                    complete = False
+                    return
 
     if free_k > 0 and ncell:
-        rec(0, 0)
+        walk()
     elif free_k == 0:
         sparse.append((np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
 

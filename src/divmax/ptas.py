@@ -13,11 +13,11 @@ fraction of the optimum, which yields the (1 - eps) guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .cells import CellDecomposition, decompose_fixed
+from .compositions import count_compositions, enumerate_compositions
 from .diversity import (EXACT_BIPARTITION_CAP, MultiplicityVector, Objective,
                         balanced_split_masks, evaluate, value_on_multiset)
 from .errors import BudgetExceededError
@@ -71,46 +71,6 @@ def build_guess_grid(inst: MetricInstance, k: int) -> GuessGrid:
         s /= 2.0
     cands.append(s)  # one extra below
     return GuessGrid(cands, list(range(inst.n)))
-
-
-def enumerate_compositions(caps, total: int):
-    """Yield every vector 0 <= m <= caps with sum(m) = total.
-
-    Positions are filled left to right with the largest feasible value first,
-    so the first coordinate decreases across the stream.
-    """
-    caps = [int(c) for c in caps]
-    if any(c < 0 for c in caps):
-        raise ValueError("caps must be nonnegative")
-    n = len(caps)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-    if total < 0 or total > suffix[0]:
-        return
-    vec = [0] * n
-
-    def rec(i: int, remaining: int):
-        if i == n:
-            yield tuple(vec)
-            return
-        hi = min(caps[i], remaining)
-        lo = max(0, remaining - suffix[i + 1])
-        for v in range(hi, lo - 1, -1):
-            vec[i] = v
-            yield from rec(i + 1, remaining - v)
-
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total)
-
-
-@lru_cache(maxsize=256)
-def _compositions_array(caps: tuple[int, ...], total: int) -> np.ndarray:
-    rows = list(enumerate_compositions(caps, total))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(caps))
 
 
 def evaluate_rounded(inst: MetricInstance, obj: Objective, decomp: CellDecomposition,
@@ -174,9 +134,9 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     """Best k-subset found by the guess-and-round scheme; value >= (1 - eps) * OPT.
 
     Guesses run over descending scale candidates and ascending center
-    candidates; equal-value solutions keep the first one encountered.  Raises
-    when the total number of evaluated candidate vectors would exceed
-    ``budget``.
+    candidates; equal-value solutions keep the first one encountered.  Each
+    guess's candidate vectors are counted exactly before they are enumerated,
+    and the solve raises as soon as the running total would exceed ``budget``.
     """
     if obj.q != inst.q:
         raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
@@ -219,18 +179,26 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
             guesses += 1
             decomp = decompose_fixed(inst, all_idx[inside], cell_scale * s)
             max_cells = max(max_cells, len(decomp.centers))
-            caps = tuple(min(len(decomp.members[c]), k) for c in decomp.centers)
-            counts = _compositions_array(caps, k - int(outliers.size))
-            evaluated += counts.shape[0]
+            values = [range(min(len(decomp.members[c]), k), -1, -1)
+                      for c in decomp.centers]
+            total = k - int(outliers.size)
+            rows = count_compositions(values, total)
+            evaluated += rows
             if evaluated > budget:
                 raise BudgetExceededError(
-                    f"candidate budget exceeded: {evaluated} > {budget} "
-                    f"(scale {s!r}, center {z0})")
-            if counts.shape[0] == 0:
+                    f"candidate budget exceeded: {evaluated} predicted candidates > "
+                    f"budget {budget} (scale {s!r}, center {z0})")
+            if rows == 0:
                 continue
-            vals = _rounded_values(inst, obj, decomp.centers, outliers, counts, eps)
-            i = int(vals.argmax())
-            pre = _preimage(decomp, counts[i], outliers)
+            # Called through the module global, so a wrapper installed on
+            # ``ptas.enumerate_compositions`` sees every block.
+            best_rounded, best_counts = -np.inf, None
+            for counts in enumerate_compositions(values, total):
+                vals = _rounded_values(inst, obj, decomp.centers, outliers, counts, eps)
+                i = int(vals.argmax())
+                if best_counts is None or vals[i] > best_rounded:
+                    best_rounded, best_counts = vals[i], counts[i]
+            pre = _preimage(decomp, best_counts, outliers)
             val = evaluate(inst, obj, pre, eps=eps)
             if best is None or val > best.value:
                 best = Solution(pre, val, "ptas", guess=(z0, float(s) ** q))

@@ -5,6 +5,8 @@ One test per shipped guarantee; each prints a single machine-greppable
 on genuine violations of the stated tolerance.
 """
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -391,9 +393,12 @@ def test_c8_hardness_gadget(capsys):
 
 
 def test_c9_determinism(tmp_path, capsys):
+    # the subprocess runs in tmp_path, where a relative PYTHONPATH would not resolve
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(dm.__file__).resolve().parents[1])}
+
     def run(args):
         r = subprocess.run([sys.executable, "-m", "divmax.cli", *args],
-                           capture_output=True, text=True, cwd=str(tmp_path))
+                           capture_output=True, text=True, cwd=str(tmp_path), env=env)
         assert r.returncode == 0, r.stderr
         return [l for l in r.stdout.splitlines() if l.startswith("RESULT ")]
 

@@ -133,6 +133,13 @@ def test_bisection_budget():
     inst = dm.gen_uniform(12, 2, seed=41)
     with pytest.raises(BudgetExceededError, match="budget"):
         min_bisection(inst, list(range(8)), 0.3, budget=1)
+    # the grid is counted before it is enumerated; 24 points in singleton
+    # cells give one grid vector per subset of at most 12 of them
+    inst = dm.gen_uniform(200, 2, seed=24)
+    want = sum(math.comb(24, i) for i in range(13))
+    with pytest.raises(BudgetExceededError, match=f"^grid budget exceeded: {want} predicted "
+                                                  "candidate vectors > budget 100000$"):
+        min_bisection(inst, list(range(24)), 0.5, budget=100_000)
 
 
 def test_bisection_deterministic():

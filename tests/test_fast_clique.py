@@ -135,6 +135,16 @@ def test_solve_fast_budget_truncation():
     assert sol.value >= g.value * (1 - 1e-12)
 
 
+def test_solve_fast_deep_ladder_search():
+    # more searched cells than Python's recursion limit allows levels
+    inst = dm.gen_uniform(2000, 2, seed=1)
+    g = dm.greedy_clique(inst, 8)
+    sol = solve_fast(inst, 8, 0.1, budget=200)
+    assert sol.meta["cells_searched"] > 1000
+    assert sol.meta["candidates"] == 200 and sol.meta["search_complete"] is False
+    assert sol.value >= g.value * (1 - 1e-12)
+
+
 def test_solve_fast_all_coincident():
     inst = dm.MetricInstance.from_points([[2.0, 2.0]] * 5)
     sol = solve_fast(inst, 3, 0.2)

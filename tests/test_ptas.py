@@ -1,6 +1,7 @@
 """Guess-and-round approximation scheme: guess grid, compositions, rounding, solve."""
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
+from divmax import compositions
 from divmax.cells import decompose_fixed
+from divmax.compositions import count_compositions
 from divmax.errors import BudgetExceededError
 from divmax.metric import diameter_estimate, tol_leq
 from divmax.ptas import (GUESS_SLACK, OUTLIER_RADIUS_COEFF, build_guess_grid,
@@ -41,29 +44,62 @@ def test_guess_grid_degenerate_instance():
 
 # ------------------------------------------------------------- compositions
 
+def _rows(values, total, **kw):
+    """Every row the engine yields, its blocks concatenated."""
+    return [tuple(int(x) for x in row)
+            for block in enumerate_compositions(values, total, **kw) for row in block]
+
+
+def _down(caps):
+    return [range(c, -1, -1) for c in caps]
+
+
 def test_compositions_frozen_examples():
-    assert list(enumerate_compositions((1, 1, 1), 2)) == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    assert list(enumerate_compositions((2, 2), 3)) == [(2, 1), (1, 2)]
-    assert list(enumerate_compositions((), 0)) == [()]
-    assert list(enumerate_compositions((), 1)) == []
-    assert list(enumerate_compositions((3, 3), 0)) == [(0, 0)]
-    assert list(enumerate_compositions((1, 2), 5)) == []
+    assert _rows(_down((1, 1, 1)), 2) == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    assert _rows(_down((2, 2)), 3) == [(2, 1), (1, 2)]
+    assert _rows([], 0) == [()]
+    assert _rows([], 1) == []
+    assert _rows(_down((3, 3)), 0) == [(0, 0)]
+    assert _rows(_down((1, 2)), 5) == []
+    assert _rows([range(0, 5, 2), range(3)], 2, at_most=True) == [
+        (0, 0), (0, 1), (0, 2), (2, 0)]
 
 
 def test_compositions_negative_cap():
-    with pytest.raises(ValueError, match="nonnegative"):
-        list(enumerate_compositions((2, -1), 1))
+    with pytest.raises(ValueError, match="nonnegative values"):
+        list(enumerate_compositions([[2, 1, 0], [0, -1]], 1))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        list(enumerate_compositions((1, 1, 1), 2))  # caps, not value lists
+    with pytest.raises(ValueError, match="nonnegative total"):
+        count_compositions(_down((1, 1)), -1)
 
 
-@settings(max_examples=120)
-@given(st.lists(st.integers(0, 4), min_size=1, max_size=5), st.integers(0, 12))
-def test_compositions_against_product_filter(caps, total):
-    got = list(enumerate_compositions(caps, total))
-    want = [v for v in product(*(range(c + 1) for c in caps)) if sum(v) == total]
-    assert sorted(got) == sorted(want)
-    assert len(set(got)) == len(got)
-    firsts = [v[0] for v in got]
-    assert firsts == sorted(firsts, reverse=True)  # largest-first in position 0
+_value_list = st.one_of(
+    st.integers(0, 4).map(lambda c: list(range(c, -1, -1))),          # descending range
+    st.tuples(st.integers(0, 6), st.integers(1, 3)).map(
+        lambda cs: list(range(0, cs[0] + 1, cs[1]))),                # ascending step grid
+    st.lists(st.integers(0, 5), max_size=3))                          # any list
+
+
+@settings(max_examples=200)
+@given(st.lists(_value_list, max_size=5), st.integers(0, 12), st.booleans())
+def test_compositions_against_product_filter(values, total, at_most):
+    want = [v for v in product(*values)
+            if (sum(v) <= total if at_most else sum(v) == total)]
+    with mock.patch.object(compositions, "BLOCK_ROWS", 3):
+        blocks = list(enumerate_compositions(values, total, at_most=at_most))
+    assert all(b.dtype == np.int64 and b.shape == (b.shape[0], len(values))
+               and 1 <= b.shape[0] <= 3 for b in blocks)
+    # product() runs in the same first-coordinate-major order
+    assert [tuple(int(x) for x in r) for b in blocks for r in b] == want
+    assert count_compositions(values, total, at_most=at_most) == len(want)
+
+
+def test_count_compositions_is_exact_past_int64():
+    # 100 split over 60 parts, each part up to 100: stars and bars
+    assert count_compositions([range(101)] * 60, 100) == math.comb(159, 59) > 2 ** 63
+    rows = sum(b.shape[0] for b in enumerate_compositions(_down((1,) * 20), 10))
+    assert rows == math.comb(20, 10) > compositions.BLOCK_ROWS
 
 
 # ----------------------------------------------------------- rounded values
@@ -159,7 +195,7 @@ def test_solve_validation(square):
 
 def test_solve_budget_exhaustion():
     inst = dm.gen_uniform(10, 2, seed=5)
-    with pytest.raises(BudgetExceededError, match="budget"):
+    with pytest.raises(BudgetExceededError, match="predicted candidates > budget 1 "):
         solve(inst, dm.Objective("clique"), 4, 0.4, budget=1)
 
 
