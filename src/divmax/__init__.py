@@ -4,7 +4,7 @@ Exact oracles, a greedy baseline, a grid-rounding approximation scheme for
 remote-clique / remote-star / remote-bipartition, a near-linear remote-clique
 scheme, a balanced min-bisection scheme, and seeded instance generators.
 """
-from .baselines import brute_force_opt, estimate_delta_clique, greedy_clique
+from .baselines import brute_force_opt, greedy_clique
 from .bisection import BisectionResult, min_bisection, star_center
 from .cells import (CellDecomposition, decompose_fixed, decompose_variable,
                     project_multiset)
@@ -14,32 +14,29 @@ from .diversity import (EXACT_BIPARTITION_CAP, MULTISET_SPLIT_CAP,
                         star_value, term_count, value_on_multiset)
 from .errors import (BudgetExceededError, EnumerationCapError,
                      InstanceParseError, MetricValidationError)
-from .fast_clique import (cl_of_multiplicities, find_center,
-                          multiplicity_ladder, solve_fast)
+from .fast_clique import find_center, multiplicity_ladder, solve_fast
 from .instances import (KSumInstance, ReductionVerdict, gen_clustered,
                         gen_graph_12metric, gen_ksum_reduction, gen_uniform,
                         verify_reduction, zero_sum_subset_exists)
-from .metric import (Ball, MetricInstance, ball_members, diameter_estimate,
-                     load_instance, save_instance)
+from .metric import (MetricInstance, diameter_estimate, load_instance,
+                     save_instance)
 from .ptas import (GuessGrid, Solution, build_guess_grid,
-                   enumerate_compositions, evaluate_rounded, solve)
+                   enumerate_compositions, solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball", "BisectionResult", "BudgetExceededError", "CellDecomposition",
+    "BisectionResult", "BudgetExceededError", "CellDecomposition",
     "EXACT_BIPARTITION_CAP", "EnumerationCapError", "GuessGrid",
     "InstanceParseError", "KSumInstance", "MULTISET_SPLIT_CAP",
     "MetricInstance", "MetricValidationError", "MultiplicityVector",
-    "Objective", "ReductionVerdict", "Solution", "ball_members",
-    "bipartition_value_exact", "brute_force_opt", "build_guess_grid",
-    "centroid_clique_identity", "cl_of_multiplicities", "clique_value",
-    "decompose_fixed", "decompose_variable", "diameter_estimate",
-    "enumerate_compositions", "estimate_delta_clique", "evaluate",
-    "evaluate_rounded", "find_center", "gen_clustered", "gen_graph_12metric",
-    "gen_ksum_reduction", "gen_uniform", "greedy_clique", "load_instance",
-    "min_bisection", "multiplicity_ladder", "project_multiset",
-    "save_instance", "solve", "solve_fast", "star_center", "star_value",
-    "term_count", "value_on_multiset", "verify_reduction",
-    "zero_sum_subset_exists",
+    "Objective", "ReductionVerdict", "Solution", "bipartition_value_exact",
+    "brute_force_opt", "build_guess_grid", "centroid_clique_identity",
+    "clique_value", "decompose_fixed", "decompose_variable",
+    "diameter_estimate", "enumerate_compositions", "evaluate", "find_center",
+    "gen_clustered", "gen_graph_12metric", "gen_ksum_reduction",
+    "gen_uniform", "greedy_clique", "load_instance", "min_bisection",
+    "multiplicity_ladder", "project_multiset", "save_instance", "solve",
+    "solve_fast", "star_center", "star_value", "term_count",
+    "value_on_multiset", "verify_reduction", "zero_sum_subset_exists",
 ]

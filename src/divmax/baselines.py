@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from .diversity import (EXACT_BIPARTITION_CAP, Objective, batch_evaluate,
-                        clique_value, evaluate)
+                        clique_value)
 from .errors import EnumerationCapError
 from .metric import MetricInstance
 from .ptas import Solution
@@ -101,11 +101,3 @@ def greedy_clique(inst: MetricInstance, k: int, *, exact_pair: bool = False) -> 
     subset = tuple(sorted(chosen))
     return Solution(subset, clique_value(inst, subset), "greedy")
 
-
-def estimate_delta_clique(inst: MetricInstance, k: int) -> float:
-    """Average pairwise distance of the greedy clique; within [opt/2, opt] of
-    the optimal average when the greedy value is a half approximation."""
-    if inst.q != 1.0:
-        raise ValueError(f"the greedy average estimate requires q = 1, got q = {inst.q}")
-    g = greedy_clique(inst, k)
-    return g.value / math.comb(k, 2)

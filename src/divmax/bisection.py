@@ -17,6 +17,7 @@ import numpy as np
 
 from .cells import decompose_variable, project_multiset
 from .compositions import count_compositions, enumerate_compositions
+from .diversity import cross_values, values
 from .errors import BudgetExceededError
 from .metric import MetricInstance
 
@@ -50,20 +51,6 @@ def star_center(inst: MetricInstance, T, q: float | None = None) -> tuple[int, f
     return support[i], float(weights[i])
 
 
-def _cross_value(inst: MetricInstance, left: list[int], right: list[int]) -> float:
-    li = np.asarray(left, dtype=np.int64)
-    ri = np.asarray(right, dtype=np.int64)
-    if inst.matrix is not None:
-        d = inst.matrix[np.ix_(li, ri)]
-    else:
-        from .metric import pairwise_distances
-
-        d = pairwise_distances(inst.points[li], inst.points[ri], inst.norm)
-    if inst.q != 1.0:
-        d = d ** inst.q
-    return float(d.sum())
-
-
 def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
                   *, budget: int = DEFAULT_BUDGET) -> BisectionResult:
     """Balanced bisection of the multiset T with value <= (1 + eps) * optimum.
@@ -88,7 +75,7 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
     support = sorted(set(elems))
     mult_full = np.array([elems.count(u) for u in support], dtype=np.float64)
     dq_sup = inst.pow_submatrix(support)
-    cl = float(mult_full @ dq_sup @ mult_full) / 2.0
+    cl = float(values("clique", dq_sup, mult_full[None, :])[0])
     if cl == 0.0:
         return BisectionResult(tuple(elems[: k // 2]), 0.0, 0,
                                {"z": elems[0], "delta_prime": 0.0})
@@ -131,7 +118,7 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
         arr = block[deficit == 0].astype(np.float64)
         if not arr.shape[0]:
             continue
-        fvals = np.einsum("bi,ij,bj->b", arr, dq_c, m_full[None, :] - arr)
+        fvals = cross_values(dq_c, arr, m_full - arr)
         low = float(fvals.min())
         if low > vmin:
             continue
@@ -148,7 +135,7 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
     right_pos = sorted(set(range(k)) - set(left_pos))
     left = [elems[p] for p in left_pos]
     right = [elems[p] for p in right_pos]
-    value = _cross_value(inst, left, right)
+    value = float(inst.pow_submatrix(left, right).sum())
     return BisectionResult(tuple(sorted(left)), value, len(decomp.centers),
                            {"z": z, "delta_prime": delta_prime, "delta": delta,
                             "grid_frac": grid_frac, "candidates": counted})

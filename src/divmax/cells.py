@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diversity import MultiplicityVector
-from .metric import REL_TOL, MetricInstance, tol_leq
+from .metric import MetricInstance, tol_leq
 
 
 @dataclass
@@ -51,9 +51,7 @@ def _greedy(inst: MetricInstance, subset, allowance: np.ndarray,
     while remaining.size:
         c = int(remaining[0])
         centers.append(c)
-        d = inst.dists_from(c, remaining)
-        slack = REL_TOL * np.maximum(np.abs(d), np.abs(remaining_allow))
-        taken = d <= remaining_allow + slack
+        taken = tol_leq(inst.dists_from(c, remaining), remaining_allow)
         got = remaining[taken]
         members[c] = [int(v) for v in got]
         for v, r in zip(got, remaining_allow[taken]):

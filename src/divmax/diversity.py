@@ -8,10 +8,16 @@ For a k-subset T and exponent q:
 
 All three extend to multisets (a multiplicity per center) by treating each
 copy as a distinct point at pairwise distance zero from its siblings.
+
+Batches of candidates come in two row forms over a d^q block ``dq``, and
+each has one evaluator.  Index rows (``batch_evaluate``) list a candidate's
+points as positions into ``dq``, repeats being coincident copies; the
+brute-force oracle and the fast clique scheme's leaf scoring use them.  Count
+rows (``values``) give a multiplicity for every position of ``dq``; the
+solvers' multiplicity vectors over cell centers use them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -190,10 +196,8 @@ def value_on_multiset(inst: MetricInstance, obj: Objective, mv: MultiplicityVect
         # the subset evaluators keeps the two code paths bit-identical
         return evaluate(inst, obj, centers, eps=eps)
     d = inst.pow_submatrix(centers)
-    if obj.kind == "clique":
-        return float(mult @ d @ mult) / 2.0
-    if obj.kind == "star":
-        return float((d @ mult).min())
+    if obj.kind != "bipartition":
+        return float(values(obj.kind, d, mult[None, :])[0])
     if total % 2:
         raise ValueError(f"bipartition needs an even multiset size, got {total}")
     if len(centers) <= split_cap:
@@ -201,7 +205,7 @@ def value_on_multiset(inst: MetricInstance, obj: Objective, mv: MultiplicityVect
         best = np.inf
         for block in enumerate_compositions([range(int(m) + 1) for m in mult], total // 2):
             left = block.astype(np.float64)
-            best = min(best, float(np.einsum("bi,ij,bj->b", left, d, mult[None, :] - left).min()))
+            best = min(best, float(cross_values(d, left, mult - left).min()))
         return best
     if eps is None:
         raise EnumerationCapError(
@@ -234,48 +238,59 @@ def centroid_clique_identity(inst: MetricInstance, subset) -> tuple[float, float
     return clique_value(inst, idx), rhs
 
 
-# Vectorized evaluators over batches of equally sized index rows.  Rows may
-# contain repeated indices; repeats behave as coincident copies.
+# Vectorized evaluators over batches of rows; see the module docstring.
 
-_BATCH_CHUNK = 8192
-
-
-def _gathered(dq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return dq[rows[:, :, None], rows[:, None, :]]
-
-
-def batch_clique(dq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    out = np.empty(rows.shape[0])
-    for i in range(0, rows.shape[0], _BATCH_CHUNK):
-        g = _gathered(dq, rows[i:i + _BATCH_CHUNK])
-        out[i:i + _BATCH_CHUNK] = g.sum(axis=(1, 2)) / 2.0
-    return out
-
-
-def batch_star(dq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    out = np.empty(rows.shape[0])
-    for i in range(0, rows.shape[0], _BATCH_CHUNK):
-        g = _gathered(dq, rows[i:i + _BATCH_CHUNK])
-        out[i:i + _BATCH_CHUNK] = g.sum(axis=2).min(axis=1)
-    return out
-
-
-def batch_bipartition(dq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    k = rows.shape[1]
-    masks = balanced_split_masks(k)
-    out = np.empty(rows.shape[0])
-    for i in range(0, rows.shape[0], _BATCH_CHUNK):
-        g = _gathered(dq, rows[i:i + _BATCH_CHUNK])
-        vals = np.einsum("mi,bij,mj->bm", masks, g, 1.0 - masks)
-        out[i:i + _BATCH_CHUNK] = vals.min(axis=1)
-    return out
+# Largest number of gathered or split entries held at once by batch_evaluate.
+_BATCH_ENTRIES = 1 << 19
 
 
 def batch_evaluate(kind: str, dq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    if kind == "clique":
-        return batch_clique(dq, rows)
-    if kind == "star":
-        return batch_star(dq, rows)
+    """Objective value of each index row of positions into ``dq``."""
+    k = rows.shape[1]
+    width = k * k
     if kind == "bipartition":
-        return batch_bipartition(dq, rows)
+        masks = balanced_split_masks(k)
+        width += masks.shape[0]
+    elif kind not in OBJECTIVE_KINDS:
+        raise ValueError(f"unknown objective {kind!r}")
+    step = max(1, _BATCH_ENTRIES // max(1, width))
+    out = np.empty(rows.shape[0])
+    for i in range(0, rows.shape[0], step):
+        r = rows[i:i + step]
+        g = dq[r[:, :, None], r[:, None, :]]
+        if kind == "clique":
+            out[i:i + step] = g.sum(axis=(1, 2)) / 2.0
+        elif kind == "star":
+            out[i:i + step] = g.sum(axis=2).min(axis=1)
+        else:
+            out[i:i + step] = np.einsum("mi,bij,mj->bm", masks, g, 1.0 - masks).min(axis=1)
+    return out
+
+
+def cross_values(dq: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Split form sum_ij a[r, i] dq[i, j] b[r, j] of each pair of count rows."""
+    out = a @ dq
+    out *= b  # in place: one row block fewer held at once
+    return out.sum(axis=1)
+
+
+def _expand_rows(counts: np.ndarray) -> np.ndarray:
+    """Turn count rows (all with the same sum) into index rows of that width."""
+    b, ncol = counts.shape
+    flat = np.repeat(np.tile(np.arange(ncol, dtype=np.int64), b), counts.reshape(-1))
+    return flat.reshape(b, -1)
+
+
+def values(kind: str, dq: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Objective value of each count row: entry j is the multiplicity of
+    position j of ``dq``.  Bipartition rows must have integer counts."""
+    f = counts.astype(np.float64)
+    if kind == "clique":
+        return cross_values(dq, f, f) / 2.0
+    if kind == "star":
+        sums = f @ dq
+        sums[counts == 0] = np.inf
+        return sums.min(axis=1)
+    if kind == "bipartition":
+        return batch_evaluate(kind, dq, _expand_rows(counts))
     raise ValueError(f"unknown objective {kind!r}")

@@ -21,8 +21,8 @@ import numpy as np
 
 from .baselines import greedy_clique
 from .cells import CellDecomposition, decompose_fixed
-from .diversity import Objective, clique_value
-from .metric import REL_TOL, MetricInstance
+from .diversity import batch_evaluate, clique_value, values
+from .metric import MetricInstance, tol_leq
 from .ptas import Solution
 
 CELL_FRACTION = 8.0        # cell radius = (eps / 8) * estimated average
@@ -52,32 +52,15 @@ def multiplicity_ladder(cap: int, eps: float) -> list[int]:
     return vals
 
 
-def cl_of_multiplicities(dist_table: np.ndarray, mult) -> float:
-    """Clique value of a multiset given the center distance table."""
-    m = np.asarray(mult, dtype=np.float64)
-    return float(m @ dist_table @ m) / 2.0
-
-
 def find_center(inst: MetricInstance, decomp: CellDecomposition, radius: float,
                 k: int) -> int:
     """First cell center whose ball of ``radius`` excludes fewer than k/2 points."""
     for c in decomp.centers:
-        d = inst.dists_from(c)
-        slack = REL_TOL * np.maximum(np.abs(d), abs(radius))
-        excluded = int((d > radius + slack).sum())
+        excluded = int((~tol_leq(inst.dists_from(c), radius)).sum())
         if excluded < k / 2.0:
             return c
     raise RuntimeError(
         "no cell center excludes fewer than k/2 points; the scale estimate is off")
-
-
-def _center_table(inst: MetricInstance, centers: list[int]) -> np.ndarray:
-    idx = np.asarray(centers, dtype=np.int64)
-    if inst.matrix is not None:
-        return inst.matrix[np.ix_(idx, idx)]
-    from .metric import pairwise_distances
-
-    return pairwise_distances(inst.points[idx], inst.points[idx], inst.norm)
 
 
 def solve_fast(inst: MetricInstance, k: int, eps: float,
@@ -102,10 +85,7 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     decomp = decompose_fixed(inst, None, (eps / CELL_FRACTION) * delta_prime)
     z0p = find_center(inst, decomp, CENTER_BALL_COEFF * delta_prime, k)
 
-    dz = inst.dists_from(z0p)
-    keep_r = KEEP_BALL_COEFF * delta_prime
-    slack = REL_TOL * np.maximum(np.abs(dz), keep_r)
-    near = dz <= keep_r + slack
+    near = tol_leq(inst.dists_from(z0p), KEEP_BALL_COEFF * delta_prime)
     inside_cells = [c for c in decomp.centers if any(near[v] for v in decomp.members[c])]
     inside_set = set(inside_cells)
     outside_cells = [c for c in decomp.centers if c not in inside_set]
@@ -115,19 +95,11 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     free_k = k - fixed
     assert free_k > 0 or fixed == k
 
-    table_in = _center_table(inst, inside_cells)
+    table_in = inst.pow_submatrix(inside_cells)
     if outside_cells:
-        idx_in = np.asarray(inside_cells, dtype=np.int64)
-        idx_out = np.asarray(outside_cells, dtype=np.int64)
-        if inst.matrix is not None:
-            cross = inst.matrix[np.ix_(idx_in, idx_out)]
-        else:
-            from .metric import pairwise_distances
-
-            cross = pairwise_distances(inst.points[idx_in], inst.points[idx_out], inst.norm)
-        cross_sums = cross @ out_mult
-        table_out = _center_table(inst, outside_cells)
-        const_out = float(out_mult @ table_out @ out_mult) / 2.0
+        cross_sums = inst.pow_submatrix(inside_cells, outside_cells) @ out_mult
+        const_out = float(values("clique", inst.pow_submatrix(outside_cells),
+                                 out_mult[None, :])[0])
     else:
         cross_sums = np.zeros(len(inside_cells))
         const_out = 0.0
@@ -193,19 +165,13 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
 
     best_val = -np.inf
     best_counts: tuple[np.ndarray, np.ndarray] | None = None
-    width = max((len(p) for p, _ in sparse), default=0)
     for lo in range(0, len(sparse), _EVAL_CHUNK):
         chunk = sparse[lo:lo + _EVAL_CHUNK]
-        b = len(chunk)
-        pos = np.zeros((b, width), dtype=np.int64)
-        val = np.zeros((b, width), dtype=np.float64)
-        for r, (p, v) in enumerate(chunk):
-            pos[r, : len(p)] = p
-            val[r, : len(p)] = v
-        g = table_in[pos[:, :, None], pos[:, None, :]] if width else np.zeros((b, 0, 0))
-        inner = np.einsum("bi,bij,bj->b", val, g, val) / 2.0
-        crossed = (val * cross_sums[pos]).sum(axis=1) if width else np.zeros(b)
-        totals = inner + crossed + const_out
+        # each leaf as an index row of width free_k over the inside cells
+        rows = np.repeat(np.concatenate([p for p, _ in chunk]),
+                         np.concatenate([v for _, v in chunk])).reshape(len(chunk), free_k)
+        totals = (batch_evaluate("clique", table_in, rows) + cross_sums[rows].sum(axis=1)
+                  + const_out)
         i = int(totals.argmax())
         if totals[i] > best_val:
             best_val = float(totals[i])

@@ -2,7 +2,8 @@
 
 An instance is a set of n points together with a metric d and an exponent
 q >= 1.  All algorithms in this package work on d^q through ``dist_pow`` and
-the submatrix helpers, so the backend (raw coordinates under an lp norm, or an
+``MetricInstance.pow_submatrix``, the one accessor for square and rectangular
+distance blocks, so the backend (raw coordinates under an lp norm, or an
 explicit distance matrix) is invisible to them.
 """
 from __future__ import annotations
@@ -19,9 +20,10 @@ REL_TOL = 1e-9
 NORMS = ("l1", "l2", "linf")
 
 
-def tol_leq(a: float, b: float, tol: float = REL_TOL) -> bool:
-    """Tolerant ``a <= b`` with slack relative to the larger magnitude."""
-    return a <= b + tol * max(abs(a), abs(b))
+def tol_leq(a, b, tol: float = REL_TOL):
+    """Tolerant ``a <= b`` with slack relative to the larger magnitude;
+    elementwise on arrays."""
+    return a <= b + tol * np.maximum(np.abs(a), np.abs(b))
 
 
 def _norm_of(diff: np.ndarray, norm: str) -> np.ndarray:
@@ -115,13 +117,15 @@ class MetricInstance:
         pts = self.points if targets is None else self.points[np.asarray(targets, dtype=np.int64)]
         return _norm_of(pts - self.points[u], self.norm)
 
-    def pow_submatrix(self, indices) -> np.ndarray:
-        """q-th-power distances between the selected points, as a dense block."""
-        idx = np.asarray(indices, dtype=np.int64)
+    def pow_submatrix(self, rows, cols=None) -> np.ndarray:
+        """q-th-power distances from ``rows`` to ``cols`` (default: ``rows``),
+        as a dense block."""
+        ri = np.asarray(rows, dtype=np.int64)
+        ci = ri if cols is None else np.asarray(cols, dtype=np.int64)
         if self.matrix is not None:
-            d = self.matrix[np.ix_(idx, idx)]
+            d = self.matrix[np.ix_(ri, ci)]
         else:
-            d = pairwise_distances(self.points[idx], self.points[idx], self.norm)
+            d = pairwise_distances(self.points[ri], self.points[ci], self.norm)
         return d if self.q == 1.0 else d ** self.q
 
     def pow_matrix(self) -> np.ndarray:
@@ -131,26 +135,9 @@ class MetricInstance:
         return self._pow
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: int
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"ball radius must be nonnegative, got {self.radius}")
-
-
 def diameter_estimate(inst: MetricInstance) -> float:
     """Largest distance from point 0; the true diameter lies in [estimate, 2*estimate]."""
     return float(inst.dists_from(0).max())
-
-
-def ball_members(inst: MetricInstance, ball: Ball) -> list[int]:
-    """Indices of all points within the closed ball, tolerantly compared."""
-    d = inst.dists_from(ball.center)
-    slack = REL_TOL * np.maximum(np.abs(d), abs(ball.radius))
-    return [int(i) for i in np.flatnonzero(d <= ball.radius + slack)]
 
 
 def _validate_matrix(m: np.ndarray) -> None:

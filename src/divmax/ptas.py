@@ -19,9 +19,9 @@ import numpy as np
 from .cells import CellDecomposition, decompose_fixed
 from .compositions import count_compositions, enumerate_compositions
 from .diversity import (EXACT_BIPARTITION_CAP, MultiplicityVector, Objective,
-                        balanced_split_masks, evaluate, value_on_multiset)
+                        evaluate, value_on_multiset, values)
 from .errors import BudgetExceededError
-from .metric import REL_TOL, MetricInstance, diameter_estimate
+from .metric import REL_TOL, MetricInstance, diameter_estimate, tol_leq
 
 # Multipliers bounding how far a non-solution point can sit from the optimal
 # star center, in units of the q-th root of the average optimal value.
@@ -73,50 +73,16 @@ def build_guess_grid(inst: MetricInstance, k: int) -> GuessGrid:
     return GuessGrid(cands, list(range(inst.n)))
 
 
-def evaluate_rounded(inst: MetricInstance, obj: Objective, decomp: CellDecomposition,
-                     outliers, mv: MultiplicityVector, *, eps: float | None = None) -> float:
-    """Objective value of the multiset ``mv`` joined with the fixed outliers."""
-    out = [int(o) for o in outliers]
-    if set(out) & set(mv.centers):
-        raise ValueError("outliers must be disjoint from cell centers")
-    centers = tuple(mv.centers) + tuple(out)
-    mult = tuple(mv.mult) + (1,) * len(out)
-    return value_on_multiset(inst, obj, MultiplicityVector(centers, mult), eps=eps)
-
-
-def _expand_rows(counts: np.ndarray, k: int) -> np.ndarray:
-    """Turn per-center count rows (all summing to k) into index rows of width k."""
-    b, ncent = counts.shape
-    cols = np.tile(np.arange(ncent, dtype=np.int64), b)
-    flat = np.repeat(cols, counts.reshape(-1))
-    return flat.reshape(b, k)
-
-
 def _rounded_values(inst: MetricInstance, obj: Objective, centers: list[int],
                     outliers: np.ndarray, counts: np.ndarray,
                     eps: float) -> np.ndarray:
     """Vector of rounded objective values, one per candidate count row."""
     ext = list(centers) + [int(o) for o in outliers]
-    dq = inst.pow_submatrix(ext)
     full = np.hstack([counts, np.ones((counts.shape[0], len(outliers)), dtype=np.int64)])
-    if obj.kind == "clique":
-        f = full.astype(np.float64)
-        return np.einsum("bi,ij,bj->b", f, dq, f) / 2.0
-    if obj.kind == "star":
-        sums = full.astype(np.float64) @ dq
-        sums[full == 0] = np.inf
-        return sums.min(axis=1)
-    k = int(full[0].sum())
-    if k <= EXACT_BIPARTITION_CAP:
-        rows = _expand_rows(full, k)
-        masks = balanced_split_masks(k)
-        g = dq[rows[:, :, None], rows[:, None, :]]
-        return np.einsum("mi,bij,mj->bm", masks, g, 1.0 - masks).min(axis=1)
-    vals = np.empty(full.shape[0])
-    for i, row in enumerate(full):
-        mv = MultiplicityVector(tuple(ext), tuple(int(x) for x in row))
-        vals[i] = value_on_multiset(inst, obj, mv, eps=eps)
-    return vals
+    if obj.kind == "bipartition" and int(full[0].sum()) > EXACT_BIPARTITION_CAP:
+        return np.array([value_on_multiset(inst, obj, MultiplicityVector(tuple(ext), tuple(row)),
+                                           eps=eps) for row in full.tolist()])
+    return values(obj.kind, inst.pow_submatrix(ext), full)
 
 
 def _preimage(decomp: CellDecomposition, counts, outliers) -> tuple[int, ...]:
@@ -135,8 +101,9 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
 
     Guesses run over descending scale candidates and ascending center
     candidates; equal-value solutions keep the first one encountered.  Each
-    guess's candidate vectors are counted exactly before they are enumerated,
-    and the solve raises as soon as the running total would exceed ``budget``.
+    guess's candidate vectors are counted exactly before any guess is
+    enumerated, and the solve raises at the first guess whose running total
+    exceeds ``budget``.
     """
     if obj.q != inst.q:
         raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
@@ -156,19 +123,15 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     cell_scale = eps / 2.0 ** (q + 3)
     ball_coeff = GUESS_SLACK * OUTLIER_RADIUS_COEFF[obj.kind]
 
-    best: Solution | None = None
+    plan = []
     evaluated = 0
     guesses = 0
     max_cells = 0
     seen: set[tuple[int, bytes]] = set()
     all_idx = np.arange(inst.n, dtype=np.int64)
-
     for si, s in enumerate(grid.delta_candidates):
         for z0 in grid.z0_candidates:
-            d = inst.dists_from(z0)
-            radius = ball_coeff * s
-            slack = REL_TOL * np.maximum(np.abs(d), radius)
-            inside = d <= radius + slack
+            inside = tol_leq(inst.dists_from(z0), ball_coeff * s)
             outliers = all_idx[~inside]
             if outliers.size > k:
                 continue
@@ -179,29 +142,32 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
             guesses += 1
             decomp = decompose_fixed(inst, all_idx[inside], cell_scale * s)
             max_cells = max(max_cells, len(decomp.centers))
-            values = [range(min(len(decomp.members[c]), k), -1, -1)
-                      for c in decomp.centers]
+            choices = [range(min(len(decomp.members[c]), k), -1, -1)
+                       for c in decomp.centers]
             total = k - int(outliers.size)
-            rows = count_compositions(values, total)
+            rows = count_compositions(choices, total)
             evaluated += rows
             if evaluated > budget:
                 raise BudgetExceededError(
                     f"candidate budget exceeded: {evaluated} predicted candidates > "
                     f"budget {budget} (scale {s!r}, center {z0})")
-            if rows == 0:
-                continue
-            # Called through the module global, so a wrapper installed on
-            # ``ptas.enumerate_compositions`` sees every block.
-            best_rounded, best_counts = -np.inf, None
-            for counts in enumerate_compositions(values, total):
-                vals = _rounded_values(inst, obj, decomp.centers, outliers, counts, eps)
-                i = int(vals.argmax())
-                if best_counts is None or vals[i] > best_rounded:
-                    best_rounded, best_counts = vals[i], counts[i]
-            pre = _preimage(decomp, best_counts, outliers)
-            val = evaluate(inst, obj, pre, eps=eps)
-            if best is None or val > best.value:
-                best = Solution(pre, val, "ptas", guess=(z0, float(s) ** q))
+            if rows:
+                plan.append((s, z0, decomp, outliers, choices, total))
+
+    best: Solution | None = None
+    for s, z0, decomp, outliers, choices, total in plan:
+        # Called through the module global, so a wrapper installed on
+        # ``ptas.enumerate_compositions`` sees every block.
+        best_rounded, best_counts = -np.inf, None
+        for counts in enumerate_compositions(choices, total):
+            vals = _rounded_values(inst, obj, decomp.centers, outliers, counts, eps)
+            i = int(vals.argmax())
+            if best_counts is None or vals[i] > best_rounded:
+                best_rounded, best_counts = vals[i], counts[i]
+        pre = _preimage(decomp, best_counts, outliers)
+        val = evaluate(inst, obj, pre, eps=eps)
+        if best is None or val > best.value:
+            best = Solution(pre, val, "ptas", guess=(z0, float(s) ** q))
     assert best is not None
     best.meta.update(guesses=guesses, candidates=evaluated, max_cells=max_cells)
     return best

@@ -20,8 +20,8 @@ from divmax.baselines import brute_force_opt, greedy_clique
 from divmax.bisection import min_bisection, star_center
 from divmax.cells import decompose_fixed, decompose_variable
 from divmax.cli import _scaling_instance
-from divmax.diversity import (balanced_split_masks, batch_clique,
-                              batch_evaluate, bipartition_value_exact,
+from divmax.diversity import (balanced_split_masks, batch_evaluate,
+                              bipartition_value_exact,
                               centroid_clique_identity, term_count)
 from divmax.fast_clique import solve_fast
 from divmax.instances import KSumInstance, verify_reduction
@@ -346,7 +346,7 @@ def test_c7_centroid_identity(capsys):
     trials = viol = 0
     for k in range(2, 13):
         rows = random_subsets(rng, 200, k, 910)
-        lhs = batch_clique(dq, rows)
+        lhs = batch_evaluate("clique", dq, rows)
         z = pts[rows].mean(axis=1)
         rhs = k * k * (1.0 - (z * z).sum(axis=1))
         viol += int((np.abs(lhs - rhs) > 1e-9 * k * k).sum())

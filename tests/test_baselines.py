@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import divmax as dm
-from divmax.baselines import brute_force_opt, estimate_delta_clique, greedy_clique
+from divmax.baselines import brute_force_opt, greedy_clique
 from divmax.diversity import term_count
 from divmax.errors import EnumerationCapError
 from divmax.metric import tol_leq
@@ -138,14 +138,14 @@ def test_greedy_half_approximation_q1(seed):
 
 
 def test_estimate_delta_sandwich():
+    # the greedy average distance, solve_fast's scale estimate, lies within
+    # [opt / 2, opt] of the optimal average
     inst = dm.gen_uniform(14, 2, seed=3)
     k = 5
     opt = brute_force_opt(inst, dm.Objective("clique"), k)
-    est = estimate_delta_clique(inst, k)
+    est = greedy_clique(inst, k).value / math.comb(k, 2)
     avg_opt = opt.value / math.comb(k, 2)
     assert avg_opt / 2.0 * (1 - 1e-9) <= est <= avg_opt * (1 + 1e-9)
-    with pytest.raises(ValueError, match="q = 1"):
-        estimate_delta_clique(inst.with_q(2.0), k)
 
 
 # --------------------------------------------- ball structure of the optimum

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import divmax as dm
-from divmax.diversity import balanced_split_masks, batch_evaluate
+from divmax.diversity import _expand_rows, balanced_split_masks, batch_evaluate, values
 from divmax.errors import EnumerationCapError
 from divmax.metric import tol_leq
 
@@ -143,9 +143,9 @@ def test_multiplicity_vector_validation():
 
 
 def test_multiset_single_center_is_zero(square):
-    mv = dm.MultiplicityVector((2,), (4,))
-    for kind in ("clique", "star", "bipartition"):
-        assert dm.value_on_multiset(square, dm.Objective(kind), mv) == 0.0
+    for mv in (dm.MultiplicityVector((2,), (4,)), dm.MultiplicityVector((2,), (2,))):
+        for kind in ("clique", "star", "bipartition"):
+            assert dm.value_on_multiset(square, dm.Objective(kind), mv) == 0.0
 
 
 def test_multiset_two_center_examples():
@@ -154,6 +154,15 @@ def test_multiset_two_center_examples():
     assert dm.value_on_multiset(pair, dm.Objective("clique"), mv) == pytest.approx(4.0)
     assert dm.value_on_multiset(pair, dm.Objective("star"), mv) == pytest.approx(2.0)
     assert dm.value_on_multiset(pair, dm.Objective("bipartition"), mv) == pytest.approx(2.0)
+    mv = dm.MultiplicityVector((0, 1), (2, 3))
+    assert dm.value_on_multiset(pair, dm.Objective("clique"), mv) == pytest.approx(6.0)
+    mv = dm.MultiplicityVector((0, 1), (1, 1))
+    assert dm.value_on_multiset(pair, dm.Objective("clique"), mv) == pytest.approx(1.0)
+    # a doubled cell center plus a forced outlier at distance 1
+    cell = dm.MetricInstance.from_points([[0.0], [0.0], [1.0]])
+    mv = dm.MultiplicityVector((0, 2), (2, 1))
+    assert dm.value_on_multiset(cell, dm.Objective("clique"), mv) == pytest.approx(2.0)
+    assert dm.value_on_multiset(cell, dm.Objective("star"), mv) == pytest.approx(1.0)
 
 
 def test_multiset_validation(square):
@@ -252,6 +261,30 @@ def test_batch_matches_scalar_evaluation(kind):
     obj = dm.Objective(kind, 2.0)
     for row, v in zip(rows, vals):
         assert v == pytest.approx(dm.evaluate(inst, obj, row), rel=1e-12)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_count_rows_match_index_rows(seed):
+    # count rows over cell centers plus forced outliers (count 1), as the
+    # solvers build them, against their expanded index rows and, for an
+    # all-ones row, the subset evaluator
+    rng = np.random.default_rng(seed)
+    q = float(rng.choice([1.0, 2.0]))
+    inst = dm.gen_uniform(9, 2, seed=int(rng.integers(1 << 30)), q=q)
+    k = 2 * int(rng.integers(1, 5))
+    ncent, nout = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+    ext = [int(i) for i in rng.permutation(9)[:ncent + nout]]
+    dq = inst.pow_submatrix(ext)
+    counts = np.hstack([rng.multinomial(k - nout, [1.0 / ncent] * ncent, size=6),
+                        np.ones((6, nout), dtype=np.int64)])
+    for kind in ("clique", "star", "bipartition"):
+        np.testing.assert_allclose(values(kind, dq, counts),
+                                   batch_evaluate(kind, dq, _expand_rows(counts)),
+                                   rtol=1e-12, atol=1e-12)
+        if len(ext) >= 2 and (kind != "bipartition" or len(ext) % 2 == 0):
+            ones = np.ones((1, len(ext)), dtype=np.int64)
+            assert values(kind, dq, ones)[0] == pytest.approx(
+                dm.evaluate(inst, dm.Objective(kind, q), ext), rel=1e-12, abs=1e-12)
 
 
 def test_batch_handles_repeats():

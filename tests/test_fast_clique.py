@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 import divmax as dm
 from divmax.cells import decompose_fixed
-from divmax.diversity import MultiplicityVector, Objective, value_on_multiset
-from divmax.fast_clique import (cl_of_multiplicities, find_center,
-                                multiplicity_ladder, solve_fast)
+from divmax.diversity import MultiplicityVector, Objective, value_on_multiset, values
+from divmax.fast_clique import find_center, multiplicity_ladder, solve_fast
 from divmax.metric import tol_leq
 
 
@@ -56,9 +55,12 @@ def test_ladder_length_logarithmic():
 # ------------------------------------------------------ multiplicity clique
 
 def test_cl_of_multiplicities_examples():
+    # cl(m), the clique value of multiplicities m over a center table, as
+    # solve_fast scores its forced-in cells
     table = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert cl_of_multiplicities(table, [2, 3]) == pytest.approx(6.0)
-    assert cl_of_multiplicities(table, [5, 0]) == 0.0
+    got = values("clique", table, np.array([[2, 3], [5, 0]]))
+    assert got[0] == pytest.approx(6.0)
+    assert got[1] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -70,7 +72,7 @@ def test_cl_of_multiplicities_matches_multiset_value(seed):
     if sum(mult) < 2:
         mult[0] += 2
     table = np.array([[inst.dist(a, b) for b in centers] for a in centers])
-    got = cl_of_multiplicities(table, mult)
+    got = values("clique", table, np.array([mult]))[0]
     mv = MultiplicityVector(tuple(centers), tuple(mult))
     want = value_on_multiset(inst, Objective("clique"), mv)
     assert got == pytest.approx(want, rel=1e-9)

@@ -88,6 +88,21 @@ def test_pow_submatrix_matches_dist_pow():
     assert full[1, 3] == pytest.approx(inst.dist_pow(1, 3), rel=1e-12)
 
 
+@pytest.mark.parametrize("backend", ("points", "matrix"))
+@pytest.mark.parametrize("q", (1.0, 2.0))
+def test_rectangular_pow_submatrix_is_a_slice(backend, q):
+    rng = np.random.default_rng(int(q))
+    pts = dm.MetricInstance.from_points(rng.uniform(size=(12, 3)), q=q)
+    inst = pts if backend == "points" else dm.MetricInstance.from_matrix(
+        pts.with_q(1.0).pow_matrix(), q=q)
+    square = inst.pow_submatrix(np.arange(12))
+    for _ in range(10):
+        rows = rng.choice(12, size=int(rng.integers(1, 8)))
+        cols = rng.choice(12, size=int(rng.integers(1, 8)))
+        np.testing.assert_array_equal(inst.pow_submatrix(rows, cols),
+                                      square[np.ix_(rows, cols)])
+
+
 def test_dists_from_targets(line4):
     np.testing.assert_allclose(line4.dists_from(0, [3, 1]), [3.0, 1.0])
 
@@ -111,19 +126,21 @@ def test_diameter_estimate_brackets_true_diameter(seed):
     assert diam <= 2.0 * rhat * (1 + REL_TOL)
 
 
+def _ball(inst, center, radius):
+    return np.flatnonzero(tol_leq(inst.dists_from(center), radius)).tolist()
+
+
 def test_ball_members(square):
     line = dm.MetricInstance.from_points([[0.0], [1.0], [2.0]])
-    assert dm.ball_members(line, dm.Ball(1, 1.0)) == [0, 1, 2]
-    assert dm.ball_members(square, dm.Ball(0, 10.0)) == [0, 1, 2, 3]
+    assert _ball(line, 1, 1.0) == [0, 1, 2]
+    assert _ball(square, 0, 10.0) == [0, 1, 2, 3]
     coincident = dm.MetricInstance.from_points([[0.0], [0.0], [1.0]])
-    assert dm.ball_members(coincident, dm.Ball(0, 0.0)) == [0, 1]
-    with pytest.raises(ValueError, match="nonnegative"):
-        dm.Ball(0, -1.0)
+    assert _ball(coincident, 0, 0.0) == [0, 1]
 
 
 def test_ball_membership_tolerant_at_boundary(square):
     # sqrt(2) recomputed from coordinates lands within REL_TOL of the radius
-    assert 3 in dm.ball_members(square, dm.Ball(0, ROOT2))
+    assert 3 in _ball(square, 0, ROOT2)
 
 
 # ------------------------------------------------------- matrix validation
@@ -245,3 +262,5 @@ def test_tol_leq_behaviour():
     assert tol_leq(1.0 + 1e-12, 1.0)
     assert not tol_leq(1.0 + 1e-6, 1.0)
     assert tol_leq(0.0, 0.0)
+    np.testing.assert_array_equal(
+        tol_leq(np.array([1.0, 1.0 + 1e-12, 1.0 + 1e-6]), 1.0), [True, True, False])

@@ -1,4 +1,4 @@
-"""Guess-and-round approximation scheme: guess grid, compositions, rounding, solve."""
+"""Guess-and-round approximation scheme: guess grid, compositions, solve."""
 import math
 from itertools import product
 from unittest import mock
@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
-from divmax import compositions
-from divmax.cells import decompose_fixed
+from divmax import compositions, ptas
 from divmax.compositions import count_compositions
 from divmax.errors import BudgetExceededError
 from divmax.metric import diameter_estimate, tol_leq
 from divmax.ptas import (GUESS_SLACK, OUTLIER_RADIUS_COEFF, build_guess_grid,
-                         enumerate_compositions, evaluate_rounded, solve)
+                         enumerate_compositions, solve)
 
 
 # --------------------------------------------------------------- guess grid
@@ -102,44 +101,6 @@ def test_count_compositions_is_exact_past_int64():
     assert rows == math.comb(20, 10) > compositions.BLOCK_ROWS
 
 
-# ----------------------------------------------------------- rounded values
-
-def _cell_pair_fixture():
-    # two coincident points and one outlier at distance 1
-    inst = dm.MetricInstance.from_points([[0.0], [0.0], [1.0]])
-    decomp = decompose_fixed(inst, [0, 1], 0.0)
-    return inst, decomp
-
-
-def test_evaluate_rounded_cell_plus_outlier():
-    inst, decomp = _cell_pair_fixture()
-    mv = dm.MultiplicityVector((0,), (2,))
-    got = evaluate_rounded(inst, dm.Objective("clique"), decomp, [2], mv)
-    assert got == pytest.approx(2.0)  # pairs: 0 + 1 + 1
-    got = evaluate_rounded(inst, dm.Objective("star"), decomp, [2], mv)
-    assert got == pytest.approx(1.0)  # best center is the doubled cell
-
-
-def test_evaluate_rounded_single_cell_is_zero():
-    inst, decomp = _cell_pair_fixture()
-    mv = dm.MultiplicityVector((0,), (2,))
-    assert evaluate_rounded(inst, dm.Objective("clique"), decomp, [], mv) == 0.0
-
-
-def test_evaluate_rounded_two_singleton_cells():
-    inst = dm.MetricInstance.from_points([[0.0], [1.0]])
-    decomp = decompose_fixed(inst, [0, 1], 0.0)
-    mv = dm.MultiplicityVector((0, 1), (1, 1))
-    assert evaluate_rounded(inst, dm.Objective("clique"), decomp, [], mv) == pytest.approx(1.0)
-
-
-def test_evaluate_rounded_overlap_rejected():
-    inst, decomp = _cell_pair_fixture()
-    mv = dm.MultiplicityVector((0,), (2,))
-    with pytest.raises(ValueError, match="disjoint"):
-        evaluate_rounded(inst, dm.Objective("clique"), decomp, [0], mv)
-
-
 # -------------------------------------------------------------------- solve
 
 def test_solve_square_all_objectives(square_center):
@@ -197,6 +158,20 @@ def test_solve_budget_exhaustion():
     inst = dm.gen_uniform(10, 2, seed=5)
     with pytest.raises(BudgetExceededError, match="predicted candidates > budget 1 "):
         solve(inst, dm.Objective("clique"), 4, 0.4, budget=1)
+
+
+def test_solve_budget_checked_before_any_enumeration():
+    # a budget one short of the full count fails at the last guess, and no
+    # earlier guess may be enumerated first
+    inst = dm.gen_uniform(10, 2, seed=5)
+    obj = dm.Objective("clique")
+    need = solve(inst, obj, 4, 0.4).meta["candidates"]
+    enum = mock.Mock(side_effect=AssertionError("enumerated before the budget check"))
+    with mock.patch.object(ptas, "enumerate_compositions", enum):
+        with pytest.raises(BudgetExceededError,
+                           match=f"{need} predicted candidates > budget {need - 1} "):
+            solve(inst, obj, 4, 0.4, budget=need - 1)
+    enum.assert_not_called()
 
 
 def test_solve_meta_counters(square_center):
