@@ -60,31 +60,21 @@ def brute_force_opt(inst: MetricInstance, obj: Objective, k: int,
     return Solution(tuple(int(x) for x in subsets[i]), float(vals[i]), "brute")
 
 
-def greedy_clique(inst: MetricInstance, k: int, *, exact_pair: bool = False) -> Solution:
+def greedy_clique(inst: MetricInstance, k: int) -> Solution:
     """Greedy remote-clique baseline.
 
     Starts from a far pair: a double scan takes the point farthest from index
-    0, then the point farthest from that one (``exact_pair`` switches to the
-    true farthest pair, quadratic time).  Each step adds the point with the
-    largest total q-power distance to the chosen set, breaking ties toward
+    0, then the point farthest from that one.  Each step adds the point with
+    the largest total q-power distance to the chosen set, breaking ties toward
     the lowest index.
     """
     if not 2 <= k <= inst.n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={inst.n}")
     q = inst.q
-    if exact_pair:
-        best = (0.0, 0, 1)
-        for u in range(inst.n - 1):
-            d = inst.dists_from(u)
-            v = int(d[u + 1:].argmax()) + u + 1
-            if d[v] > best[0]:
-                best = (float(d[v]), u, v)
-        a, b = best[1], best[2]
-    else:
-        a = int(inst.dists_from(0).argmax())
-        b = int(inst.dists_from(a).argmax())
-        if a == b:  # all points coincide with point 0
-            a, b = 0, 1
+    a = int(inst.dists_from(0).argmax())
+    b = int(inst.dists_from(a).argmax())
+    if a == b:  # all points coincide with point 0
+        a, b = 0, 1
     chosen = [min(a, b), max(a, b)]
     da = inst.dists_from(a)
     db = inst.dists_from(b)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import decompose_variable, project_multiset
-from .compositions import count_compositions, enumerate_compositions
+from .compositions import count_compositions, enumerate_compositions, raise_to_total
 from .diversity import cross_values, values
 from .errors import BudgetExceededError
 from .metric import MetricInstance
@@ -108,14 +108,8 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
     m_full = np.asarray(mv.mult, dtype=np.float64)
     vmin, pick = np.inf, None
     for block in enumerate_compositions(grid, half, at_most=True):
-        # complete each grid vector to exactly k/2 by bounded raises, left to
-        # right, and drop the vectors that stay short
-        deficit = half - block.sum(axis=1)
-        for i in range(len(centers)):
-            add = np.minimum(np.minimum(steps[i], caps[i] - block[:, i]), deficit)
-            block[:, i] += add
-            deficit -= add
-        arr = block[deficit == 0].astype(np.float64)
+        # complete each grid vector to exactly k/2 by bounded raises
+        arr = raise_to_total(block, caps, steps, half).astype(np.float64)
         if not arr.shape[0]:
             continue
         fvals = cross_values(dq_c, arr, m_full - arr)
@@ -128,6 +122,9 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
         pick = first if low < vmin else min(pick, first)
         vmin = low
 
+    # a split and its complement tie exactly; choose between them by order,
+    # not by the last bit of their computed values
+    pick = min(pick, tuple(m - p for m, p in zip(mv.mult, pick)))
     left_pos: list[int] = []
     for c, m in zip(centers, pick):
         left_pos.extend(positions[c][:m])

@@ -23,8 +23,6 @@ class CellDecomposition:
     assign: dict[int, int]
     radius_of: dict[int, float]
     members: dict[int, list[int]]
-    fixed_radius: float | None = None
-    variable_params: tuple[int, float, float] | None = None  # (z, base, delta)
 
     def cell_size(self, center: int) -> int:
         return len(self.members[center])
@@ -40,8 +38,8 @@ class CellDecomposition:
                 assert inst.dist(c, c2) > self.radius_of[c2], (c, c2)
 
 
-def _greedy(inst: MetricInstance, subset, allowance: np.ndarray,
-            order: np.ndarray) -> tuple[list[int], dict, dict, dict]:
+def _greedy(inst: MetricInstance, order: np.ndarray,
+            allowance: np.ndarray) -> tuple[list[int], dict, dict, dict]:
     centers: list[int] = []
     assign: dict[int, int] = {}
     radius_of: dict[int, float] = {}
@@ -79,8 +77,7 @@ def decompose_fixed(inst: MetricInstance, subset, delta: float) -> CellDecomposi
         raise ValueError(f"cell radius must be nonnegative, got {delta}")
     order = _subset_order(inst, subset)
     allowance = np.full(order.shape, float(delta))
-    centers, assign, radius_of, members = _greedy(inst, order, allowance, order)
-    return CellDecomposition(centers, assign, radius_of, members, fixed_radius=float(delta))
+    return CellDecomposition(*_greedy(inst, order, allowance))
 
 
 def decompose_variable(inst: MetricInstance, subset, z: int, base: float,
@@ -99,9 +96,7 @@ def decompose_variable(inst: MetricInstance, subset, z: int, base: float,
         raise ValueError(f"anchor {z} must belong to the decomposed subset")
     dz = inst.dists_from(int(z), order)
     allowance = delta * np.maximum(base, dz / 2.0)
-    centers, assign, radius_of, members = _greedy(inst, order, allowance, order)
-    return CellDecomposition(centers, assign, radius_of, members,
-                             variable_params=(int(z), float(base), float(delta)))
+    return CellDecomposition(*_greedy(inst, order, allowance))
 
 
 def project_multiset(decomp: CellDecomposition, subset) -> MultiplicityVector:

@@ -199,7 +199,18 @@ def cmd_solve(args) -> int:
     print(rep.machine_line())
     for line in rep.human_lines():
         print(line)
+    if args.algo == "fast-clique":
+        print(_search_line(sol.meta))
     return EXIT_OK
+
+
+def _search_line(meta: dict) -> str:
+    """What the fast-clique search covered and whether its guarantee holds."""
+    line = (f"# search: {meta['candidates']} leaves searched, "
+            f"{meta['predicted_candidates']} predicted, budget {meta['budget']}; ")
+    if meta["search_complete"]:
+        return line + "complete, so the 1 - 8 eps guarantee holds"
+    return line + f"search skipped, greedy + {meta['swaps']} swaps, no 1 - 8 eps guarantee"
 
 
 def _parse_points(text: str) -> list[tuple[float, ...]]:

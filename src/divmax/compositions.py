@@ -5,12 +5,14 @@ Rows follow the lexicographic order of value-list positions: the first
 coordinate varies slowest and runs through ``values[0]`` in its given order.
 Each block unranks a range of row numbers against exact completion counts,
 the same counts ``count_compositions`` returns before anything is allocated.
+``raise_to_total`` completes a block of such rows to an exact sum.
 """
 from __future__ import annotations
 
 import numpy as np
 
 BLOCK_ROWS = 16384
+BLOCK_ENTRIES = 1 << 19  # rows times coordinates in one block, for wide vectors
 
 
 def _completion_tables(values, total: int, at_most: bool):
@@ -41,13 +43,15 @@ def count_compositions(values, total: int, *, at_most: bool = False) -> int:
 
 
 def enumerate_compositions(values, total: int, *, at_most: bool = False):
-    """Yield the vectors as int64 blocks of at most ``BLOCK_ROWS`` rows."""
+    """Yield the vectors as int64 blocks of at most ``BLOCK_ROWS`` rows and,
+    when that allows a row, at most ``BLOCK_ENTRIES`` entries."""
     vals, cums, after = _completion_tables(values, total, at_most)
     rows = int(after[total])
+    step = max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // max(1, len(vals))))
     # Entries past int64 belong to unreachable states; reachable ones are <= rows.
     flats = [np.minimum(c, np.iinfo(np.int64).max).astype(np.int64).ravel() for c in cums]
-    for start in range(0, rows, BLOCK_ROWS):
-        rank = np.arange(start, min(start + BLOCK_ROWS, rows), dtype=np.int64)
+    for start in range(0, rows, step):
+        rank = np.arange(start, min(start + step, rows), dtype=np.int64)
         rest = np.full(rank.size, total, dtype=np.int64)
         block = np.empty((rank.size, len(vals)), dtype=np.int64)
         for i, (v, flat) in enumerate(zip(vals, flats)):
@@ -60,3 +64,16 @@ def enumerate_compositions(values, total: int, *, at_most: bool = False):
             block[:, i] = v[j]
             rest -= block[:, i]
         yield block
+
+
+def raise_to_total(block: np.ndarray, caps, raises, total: int) -> np.ndarray:
+    """Raise rows summing to at most ``total`` toward ``total``, left to right:
+    coordinate i gains at most ``raises[i]`` and never passes ``caps[i]``.
+    The block is raised in place; the rows that reach ``total`` are returned,
+    the rest dropped."""
+    deficit = total - block.sum(axis=1)
+    for i in range(block.shape[1]):
+        add = np.minimum(np.minimum(raises[i], caps[i] - block[:, i]), deficit)
+        block[:, i] += add
+        deficit -= add
+    return block[deficit == 0]

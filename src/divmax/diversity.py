@@ -12,9 +12,9 @@ copy as a distinct point at pairwise distance zero from its siblings.
 Batches of candidates come in two row forms over a d^q block ``dq``, and
 each has one evaluator.  Index rows (``batch_evaluate``) list a candidate's
 points as positions into ``dq``, repeats being coincident copies; the
-brute-force oracle and the fast clique scheme's leaf scoring use them.  Count
-rows (``values``) give a multiplicity for every position of ``dq``; the
-solvers' multiplicity vectors over cell centers use them.
+brute-force oracle uses them.  Count rows (``values``) give a multiplicity
+for every position of ``dq``; the solvers' multiplicity vectors over cell
+centers use them, the fast clique scheme's ladder leaves included.
 """
 from __future__ import annotations
 
@@ -176,13 +176,12 @@ class MultiplicityVector:
 
 
 def value_on_multiset(inst: MetricInstance, obj: Objective, mv: MultiplicityVector,
-                      *, split_cap: int = MULTISET_SPLIT_CAP,
-                      eps: float | None = None) -> float:
+                      *, eps: float | None = None) -> float:
     """Objective value of the multiset described by ``mv``.
 
     Bipartition uses exact per-center split enumeration while the number of
-    occupied centers is at most ``split_cap``, and otherwise delegates to the
-    balanced-bisection scheme, which requires ``eps``.
+    occupied centers is at most ``MULTISET_SPLIT_CAP``, and otherwise
+    delegates to the balanced-bisection scheme, which requires ``eps``.
     """
     if obj.q != inst.q:
         raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
@@ -200,7 +199,7 @@ def value_on_multiset(inst: MetricInstance, obj: Objective, mv: MultiplicityVect
         return float(values(obj.kind, d, mult[None, :])[0])
     if total % 2:
         raise ValueError(f"bipartition needs an even multiset size, got {total}")
-    if len(centers) <= split_cap:
+    if len(centers) <= MULTISET_SPLIT_CAP:
         # every per-center left count vector 0 <= l <= mult with sum(l) = total / 2
         best = np.inf
         for block in enumerate_compositions([range(int(m) + 1) for m in mult], total // 2):
@@ -209,7 +208,7 @@ def value_on_multiset(inst: MetricInstance, obj: Objective, mv: MultiplicityVect
         return best
     if eps is None:
         raise EnumerationCapError(
-            f"{len(centers)} occupied centers exceed the split cap {split_cap}; "
+            f"{len(centers)} occupied centers exceed the split cap {MULTISET_SPLIT_CAP}; "
             "pass eps to evaluate approximately")
     from .bisection import min_bisection
 

@@ -6,12 +6,14 @@ z0' whose moderate ball excludes fewer than k/2 points anchors the search:
 cells fully outside an enlarged ball are forced into the solution at full
 multiplicity, and multiplicities inside the ball are drawn from short
 geometric ladders rather than full ranges.  Candidate vectors are completed
-to exactly k points and scored by an O(k)-support clique formula with the
+to exactly k points and scored as count rows over the inside cells, with the
 outside contribution cached.
 
-The ladder search is capped by a candidate budget; when the cap is hit the
-search keeps its best find and the greedy solution acts as a floor, with
-``meta['search_complete']`` recording the truncation.
+The ladder grid is counted before anything is built.  A grid of at most
+``budget`` rows is searched whole, which backs the 1 - 8 eps guarantee.  A
+larger grid is not searched at all: the greedy solution, improved by 1-swap
+local search, is returned instead, with no guarantee beyond greedy's and
+``meta['search_complete']`` false.
 """
 from __future__ import annotations
 
@@ -21,8 +23,9 @@ import numpy as np
 
 from .baselines import greedy_clique
 from .cells import CellDecomposition, decompose_fixed
-from .diversity import batch_evaluate, clique_value, values
-from .metric import MetricInstance, tol_leq
+from .compositions import count_compositions, enumerate_compositions, raise_to_total
+from .diversity import clique_value, values
+from .metric import REL_TOL, MetricInstance, tol_leq
 from .ptas import Solution
 
 CELL_FRACTION = 8.0        # cell radius = (eps / 8) * estimated average
@@ -31,7 +34,6 @@ KEEP_BALL_COEFF = 13.0     # cells meeting this ball stay searchable
 APPROX_FACTOR = 8.0        # value >= (1 - 8 * eps) * OPT on complete searches
 
 DEFAULT_CANDIDATE_BUDGET = 100_000
-_EVAL_CHUNK = 4096
 
 
 def multiplicity_ladder(cap: int, eps: float) -> list[int]:
@@ -63,10 +65,45 @@ def find_center(inst: MetricInstance, decomp: CellDecomposition, radius: float,
         "no cell center excludes fewer than k/2 points; the scale estimate is off")
 
 
+def _local_search(inst: MetricInstance, subset) -> tuple[tuple[int, ...], int]:
+    """1-swap local search for remote-clique (q = 1) from ``subset``.
+
+    Each step makes the swap with the largest gain, the first one in
+    (point, position) order among equal gains, while the gain exceeds
+    ``REL_TOL`` of the current value.  Returns the subset and the swap count.
+    """
+    everyone = np.arange(inst.n)
+    chosen = np.array(subset, dtype=np.int64)
+    cols = inst.pow_submatrix(everyone, chosen)  # d(v, chosen[j])
+    sums = cols.sum(axis=1)                      # total distance from v to the set
+    value = float(sums[chosen].sum()) / 2.0
+    swaps = 0
+    while True:
+        # gain of putting v in place of chosen[j]
+        gain = sums[:, None] - cols - sums[chosen][None, :]
+        gain[chosen] = -np.inf
+        v, j = np.unravel_index(int(gain.argmax()), gain.shape)
+        if not gain[v, j] > REL_TOL * value:
+            return tuple(sorted(int(c) for c in chosen)), swaps
+        value += float(gain[v, j])
+        col = inst.dists_from(int(v))
+        sums += col - cols[:, j]
+        cols[:, j] = col
+        chosen[j] = v
+        swaps += 1
+
+
 def solve_fast(inst: MetricInstance, k: int, eps: float,
                *, budget: int = DEFAULT_CANDIDATE_BUDGET) -> Solution:
-    """Near-linear remote-clique search; on complete searches the value is at
-    least (1 - 8 eps) of the optimum, and it never falls below the greedy value."""
+    """Near-linear remote-clique scheme at q = 1.
+
+    The ladder grid is counted first.  When it has at most ``budget`` rows it
+    is searched whole, and the value is at least (1 - 8 eps) of the optimum
+    and never below greedy's.  Otherwise the search is skipped and the greedy
+    subset improved by 1-swap local search is returned.  ``meta`` records
+    ``search_complete``, ``candidates`` (rows searched),
+    ``predicted_candidates``, ``budget``, ``swaps`` and ``greedy_floor_used``.
+    """
     if inst.q != 1.0:
         raise ValueError(f"the fast clique scheme requires q = 1, got q = {inst.q}")
     if not 2 <= k <= inst.n:
@@ -79,8 +116,9 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     if delta_prime == 0.0:
         # a half-approximate zero forces the optimum to zero as well
         return Solution(greedy.subset, greedy.value, "fast-clique",
-                        meta={"search_complete": True, "candidates": 0, "cells": 0,
-                              "greedy_floor_used": True})
+                        meta={"search_complete": True, "candidates": 0,
+                              "predicted_candidates": 0, "budget": budget, "swaps": 0,
+                              "cells": 0, "greedy_floor_used": True})
 
     decomp = decompose_fixed(inst, None, (eps / CELL_FRACTION) * delta_prime)
     z0p = find_center(inst, decomp, CENTER_BALL_COEFF * delta_prime, k)
@@ -95,6 +133,22 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     free_k = k - fixed
     assert free_k > 0 or fixed == k
 
+    caps = [min(len(decomp.members[c]), k) for c in inside_cells]
+    ladders = [multiplicity_ladder(c, eps) for c in caps]
+    predicted = count_compositions(ladders, free_k, at_most=True)
+    meta = {"search_complete": predicted <= budget, "candidates": 0,
+            "predicted_candidates": predicted, "budget": budget, "swaps": 0,
+            "cells": len(decomp.centers), "cells_searched": len(inside_cells),
+            "fixed_points": fixed, "greedy_floor_used": True}
+    subset, value = greedy.subset, greedy.value
+
+    if not meta["search_complete"]:
+        subset, meta["swaps"] = _local_search(inst, greedy.subset)
+        if meta["swaps"]:
+            value = clique_value(inst, subset)
+            meta["greedy_floor_used"] = False
+        return Solution(subset, value, "fast-clique", guess=(z0p, delta_prime), meta=meta)
+
     table_in = inst.pow_submatrix(inside_cells)
     if outside_cells:
         cross_sums = inst.pow_submatrix(inside_cells, outside_cells) @ out_mult
@@ -104,97 +158,26 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
         cross_sums = np.zeros(len(inside_cells))
         const_out = 0.0
 
-    caps = [min(len(decomp.members[c]), k) for c in inside_cells]
-    ladders = [multiplicity_ladder(c, eps) for c in caps]
-    ncell = len(inside_cells)
-
-    complete = True
-    counted = 0
-    seen: set[tuple[bytes, bytes]] = set()
-    sparse: list[tuple[np.ndarray, np.ndarray]] = []  # (cell positions, values)
-    vec = np.zeros(ncell, dtype=np.int64)
-
-    def finish(v: np.ndarray) -> None:
-        out = v.copy()
-        deficit = free_k - int(out.sum())
-        for i in range(ncell):
-            if deficit == 0:
-                break
-            add = min(caps[i] - int(out[i]), deficit)
-            if add > 0:
-                out[i] += add
-                deficit -= add
-        if deficit:
-            return
-        # keyed on the sparse form: a dense key costs 8 bytes per searched cell
-        pos = np.flatnonzero(out)
-        key = (pos.tobytes(), out[pos].tobytes())
-        if key not in seen:
-            seen.add(key)
-            sparse.append((pos, out[pos]))
-
-    def walk() -> None:
-        """Finish the ladder leaves in lexicographic order until the budget."""
-        nonlocal counted, complete
-        rungs = [iter(ladders[0])]  # untried rungs of each cell on the current path
-        sums = [0]                  # prefix sum before each of those cells
-        while rungs:
-            i = len(rungs) - 1
-            v = next((v for v in rungs[i] if sums[i] + v <= free_k), None)
-            if v is None:
-                rungs.pop()
-                sums.pop()
-            elif i + 1 < ncell and sums[i] + v < free_k:
-                vec[i] = v
-                rungs.append(iter(ladders[i + 1]))
-                sums.append(sums[i] + v)
-            else:
-                # a leaf: every later cell can only take its last rung, 0
-                vec[i] = v
-                vec[i + 1:] = 0
-                counted += 1
-                finish(vec)
-                if counted >= budget:
-                    complete = False
-                    return
-
-    if free_k > 0 and ncell:
-        walk()
-    elif free_k == 0:
-        sparse.append((np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
-
-    best_val = -np.inf
-    best_counts: tuple[np.ndarray, np.ndarray] | None = None
-    for lo in range(0, len(sparse), _EVAL_CHUNK):
-        chunk = sparse[lo:lo + _EVAL_CHUNK]
-        # each leaf as an index row of width free_k over the inside cells
-        rows = np.repeat(np.concatenate([p for p, _ in chunk]),
-                         np.concatenate([v for _, v in chunk])).reshape(len(chunk), free_k)
-        totals = (batch_evaluate("clique", table_in, rows) + cross_sums[rows].sum(axis=1)
-                  + const_out)
+    meta["candidates"] = predicted
+    best_val, best = -np.inf, None
+    for block in enumerate_compositions(ladders, free_k, at_most=True):
+        rows = raise_to_total(block, caps, caps, free_k)
+        if not rows.shape[0]:
+            continue
+        totals = values("clique", table_in, rows) + rows @ cross_sums + const_out
         i = int(totals.argmax())
         if totals[i] > best_val:
-            best_val = float(totals[i])
-            best_counts = chunk[i]
+            best_val, best = float(totals[i]), rows[i]
 
-    meta = {"search_complete": complete, "candidates": counted,
-            "cells": len(decomp.centers), "cells_searched": ncell,
-            "fixed_points": fixed, "greedy_floor_used": False}
-    subset = greedy.subset
-    value = greedy.value
-    if best_counts is not None:
+    if best is not None:
         chosen: list[int] = []
-        pos, valv = best_counts
-        for p, m in zip(pos, valv):
-            chosen.extend(decomp.members[inside_cells[int(p)]][: int(m)])
+        for c, m in zip(inside_cells, best):
+            chosen.extend(decomp.members[c][: int(m)])
         for c in outside_cells:
             chosen.extend(decomp.members[c])
         cand = tuple(sorted(chosen))
         cand_value = clique_value(inst, cand)
         if cand_value > value:
             subset, value = cand, cand_value
-        else:
-            meta["greedy_floor_used"] = True
-    else:
-        meta["greedy_floor_used"] = True
+            meta["greedy_floor_used"] = False
     return Solution(subset, value, "fast-clique", guess=(z0p, delta_prime), meta=meta)

@@ -114,7 +114,7 @@ def test_greedy_exact_pair_beats_double_scan():
     pts = [[0.0, 0.0], [0.0, 1.05], [-1.0, 0.0], [1.0, 0.0]]
     inst = dm.MetricInstance.from_points(pts)
     scan = greedy_clique(inst, 2)
-    exact = greedy_clique(inst, 2, exact_pair=True)
+    exact = brute_force_opt(inst, dm.Objective("clique"), 2)
     assert scan.subset == (1, 2)
     assert exact.subset == (2, 3)
     assert exact.value > scan.value

@@ -1,13 +1,15 @@
 """Balanced-bisection scheme: star center, grid search, quality guarantees."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import divmax as dm
+from divmax import bisection
 from divmax.bisection import BisectionResult, min_bisection, star_center
 from divmax.cells import decompose_variable, project_multiset
-from divmax.diversity import balanced_split_masks, bipartition_value_exact
+from divmax.diversity import balanced_split_masks, bipartition_value_exact, cross_values
 from divmax.errors import BudgetExceededError
 
 ROOT2 = math.sqrt(2.0)
@@ -116,6 +118,28 @@ def test_bisection_singleton_cells_recover_exact():
     exact, _ = bipartition_value_exact(inst, T)
     res = min_bisection(inst, T, 0.9)
     assert res.value == pytest.approx(exact, rel=1e-12)
+
+
+def _tie_toward(larger: bool):
+    """``cross_values`` that breaks each split's tie with its complement toward
+    the lexicographically larger (or smaller) of the two count vectors."""
+    def cross(dq, a, b):
+        v = cross_values(dq, a, b)
+        loses = np.array([(tuple(x) > tuple(y)) != larger for x, y in zip(a, b)])
+        return np.where(loses, v * (1.0 + 1e-12), v)
+    return cross
+
+
+def test_bisection_tie_with_complement_is_canonical():
+    # a split and its complement have the same value; which one comes back
+    # must not depend on how the evaluator rounds them
+    inst = dm.gen_uniform(10, 2, seed=29)
+    T = list(range(8))
+    plain = min_bisection(inst, T, 0.9)
+    for larger in (False, True):
+        with mock.patch.object(bisection, "cross_values", _tie_toward(larger)):
+            res = min_bisection(inst, T, 0.9)
+        assert res.left == plain.left and res.value == plain.value
 
 
 def test_bisection_validation(square):

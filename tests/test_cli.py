@@ -67,6 +67,25 @@ def test_solve_fast_clique_path(capsys, square_file):
     assert "algo=fast-clique" in line and "search_complete=True" in line
 
 
+def test_solve_fast_clique_search_line(capsys, tmp_path):
+    path = str(tmp_path / "u.txt")
+    assert cli.main(["gen", "uniform", "--n", "12", "--seed", "1002", "--out", path]) == 0
+    capsys.readouterr()
+    argv = ["solve", "--in", path, "--objective", "clique", "--k", "4",
+            "--algo", "fast-clique", "--eps", "0.2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert ("# search: 794 leaves searched, 794 predicted, budget 100000; "
+            "complete, so the 1 - 8 eps guarantee holds") in out.splitlines()
+    assert "search:" not in result_line(out) and "budget" not in result_line(out)
+    code, out, _ = run(capsys, argv + ["--budget", "793"])
+    assert code == 0
+    swaps = dm.solve_fast(dm.load_instance(path), 4, 0.2, budget=793).meta["swaps"]
+    assert (f"# search: 0 leaves searched, 794 predicted, budget 793; search skipped, "
+            f"greedy + {swaps} swaps, no 1 - 8 eps guarantee") in out.splitlines()
+    assert "search_complete=False" in result_line(out)
+
+
 def test_solve_machine_line_is_byte_stable(capsys, tmp_path):
     path = str(tmp_path / "u.txt")
     assert cli.main(["gen", "uniform", "--n", "40", "--seed", "3", "--out", path]) == 0

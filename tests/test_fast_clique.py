@@ -10,7 +10,7 @@ import divmax as dm
 from divmax.cells import decompose_fixed
 from divmax.diversity import MultiplicityVector, Objective, value_on_multiset, values
 from divmax.fast_clique import find_center, multiplicity_ladder, solve_fast
-from divmax.metric import tol_leq
+from divmax.metric import REL_TOL, tol_leq
 
 
 # ---------------------------------------------------------------- ladders
@@ -138,13 +138,92 @@ def test_solve_fast_budget_truncation():
 
 
 def test_solve_fast_deep_ladder_search():
-    # more searched cells than Python's recursion limit allows levels
+    # more searched cells than Python's recursion limit allows levels; the
+    # grid is counted first and, being far over budget, not searched at all
     inst = dm.gen_uniform(2000, 2, seed=1)
     g = dm.greedy_clique(inst, 8)
     sol = solve_fast(inst, 8, 0.1, budget=200)
     assert sol.meta["cells_searched"] > 1000
-    assert sol.meta["candidates"] == 200 and sol.meta["search_complete"] is False
+    assert sol.meta["predicted_candidates"] > 200
+    assert sol.meta["candidates"] == 0 and sol.meta["search_complete"] is False
     assert sol.value >= g.value * (1 - 1e-12)
+
+
+def test_solve_fast_budget_is_the_largest_grid_searched():
+    inst = dm.gen_uniform(12, 2, seed=1002)
+    whole = solve_fast(inst, 4, 0.2)
+    grid = whole.meta["predicted_candidates"]
+    assert whole.meta["candidates"] == grid == 794 and whole.meta["search_complete"]
+    exact = solve_fast(inst, 4, 0.2, budget=grid)
+    assert exact.meta["search_complete"] and exact.meta["candidates"] == grid
+    assert (exact.subset, exact.value) == (whole.subset, whole.value)
+    over = solve_fast(inst, 4, 0.2, budget=grid - 1)
+    assert not over.meta["search_complete"]
+    assert over.meta["candidates"] == 0 and over.meta["predicted_candidates"] == grid
+
+
+def _far_outlier():
+    # the outlier's cell lies outside the keep ball and is forced in whole
+    return dm.gen_clustered(60, 0.1, [[1000.0, 0.0]], seed=4)
+
+
+# instance, k, eps -> subset, value and leaf count, recorded from the ladder
+# walk that preceded the composition engine; every search is complete
+FROZEN = [
+    (lambda: dm.gen_uniform(15, 2, seed=1001), 5, 0.3, (0, 2, 5, 12, 14),
+     7.545212906592142, 3851),
+    (lambda: dm.gen_uniform(12, 2, seed=1002), 4, 0.2, (5, 6, 7, 8), 4.807591941412982, 794),
+    (lambda: dm.gen_uniform(18, 2, seed=1007), 4, 0.25, (0, 4, 13, 17),
+     4.819437057936174, 4048),
+    (lambda: dm.gen_uniform(25, 2, seed=5), 5, 0.25, (3, 4, 7, 14, 24),
+     8.577598725598161, 68406),
+    (lambda: dm.gen_uniform(60, 2, seed=4), 3, 0.2, (1, 8, 58), 2.993763107993291, 31085),
+    (lambda: dm.gen_uniform(16, 3, seed=77), 6, 0.3, (4, 5, 8, 10, 13, 14),
+     12.901101943107307, 14893),
+    (_far_outlier, 30, 0.5, (5, 6, 7, 9, 10, 12, 14, 16, 18, 19, 20, 21, 22, 24, 26, 27, 29,
+                             31, 35, 37, 43, 44, 46, 47, 52, 53, 55, 57, 59, 60),
+     29048.745688189672, 13),
+]
+
+
+@pytest.mark.parametrize("make,k,eps,subset,value,leaves", FROZEN)
+def test_solve_fast_frozen_complete_searches(make, k, eps, subset, value, leaves):
+    sol = solve_fast(make(), k, eps)
+    assert sol.subset == subset and sol.value == value
+    assert sol.meta["candidates"] == leaves and sol.meta["search_complete"] is True
+
+
+def _best_swap_gain(inst, subset):
+    base = dm.clique_value(inst, subset)
+    rest = [v for v in range(inst.n) if v not in subset]
+    best = max(dm.clique_value(inst, [w for w in subset if w != u] + [v])
+               for u in subset for v in rest)
+    return best - base, base
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_fast_over_budget_is_swap_optimal(seed):
+    inst = dm.gen_uniform(14 + seed, 2, seed=300 + seed)
+    k = 3 + seed % 3
+    g = dm.greedy_clique(inst, k)
+    sol = solve_fast(inst, k, 0.3, budget=1)
+    assert not sol.meta["search_complete"] and sol.meta["candidates"] == 0
+    assert sol.value >= g.value
+    assert sol.value == dm.clique_value(inst, sol.subset)
+    gain, base = _best_swap_gain(inst, sol.subset)
+    assert gain <= REL_TOL * base
+    assert sol.meta["greedy_floor_used"] == (sol.meta["swaps"] == 0)
+    if sol.meta["swaps"] == 0:
+        assert sol.subset == g.subset
+
+
+def test_solve_fast_local_search_improves_greedy():
+    inst = dm.gen_uniform(40, 2, seed=17)
+    g = dm.greedy_clique(inst, 8)
+    sol = solve_fast(inst, 8, 0.3)
+    assert sol.meta["predicted_candidates"] > sol.meta["budget"] == 100_000
+    assert sol.meta["swaps"] >= 1 and not sol.meta["greedy_floor_used"]
+    assert sol.value > g.value
 
 
 def test_solve_fast_all_coincident():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import divmax as dm
 from divmax import compositions, ptas
-from divmax.compositions import count_compositions
+from divmax.compositions import count_compositions, raise_to_total
 from divmax.errors import BudgetExceededError
 from divmax.metric import diameter_estimate, tol_leq
 from divmax.ptas import (GUESS_SLACK, OUTLIER_RADIUS_COEFF, build_guess_grid,
@@ -85,13 +85,41 @@ _value_list = st.one_of(
 def test_compositions_against_product_filter(values, total, at_most):
     want = [v for v in product(*values)
             if (sum(v) <= total if at_most else sum(v) == total)]
-    with mock.patch.object(compositions, "BLOCK_ROWS", 3):
+    with mock.patch.object(compositions, "BLOCK_ROWS", 3), \
+            mock.patch.object(compositions, "BLOCK_ENTRIES", 7):
         blocks = list(enumerate_compositions(values, total, at_most=at_most))
+    most = max(1, min(3, 7 // max(1, len(values))))
     assert all(b.dtype == np.int64 and b.shape == (b.shape[0], len(values))
-               and 1 <= b.shape[0] <= 3 for b in blocks)
+               and 1 <= b.shape[0] <= most for b in blocks)
     # product() runs in the same first-coordinate-major order
     assert [tuple(int(x) for x in r) for b in blocks for r in b] == want
     assert count_compositions(values, total, at_most=at_most) == len(want)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_raise_to_total_matches_row_loop(data):
+    ncol = data.draw(st.integers(0, 5))
+    caps = data.draw(st.lists(st.integers(0, 6), min_size=ncol, max_size=ncol))
+    raises = data.draw(st.lists(st.integers(0, 6), min_size=ncol, max_size=ncol))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, c) for c in caps]), max_size=8))
+    total = data.draw(st.integers(0, 20))
+    rows = [r for r in rows if sum(r) <= total]
+    want = []
+    for row in rows:
+        out = list(row)
+        deficit = total - sum(out)
+        for i in range(ncol):
+            add = min(raises[i], caps[i] - out[i], deficit)
+            out[i] += add
+            deficit -= add
+        if deficit == 0:
+            want.append(tuple(out))
+    block = np.array(rows, dtype=np.int64).reshape(len(rows), ncol)
+    got = raise_to_total(block, np.array(caps, dtype=np.int64),
+                         np.array(raises, dtype=np.int64), total)
+    assert got.dtype == np.int64 and got.shape == (len(want), ncol)
+    assert [tuple(int(x) for x in r) for r in got] == want
 
 
 def test_count_compositions_is_exact_past_int64():
