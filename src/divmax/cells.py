@@ -50,13 +50,12 @@ def _greedy(inst: MetricInstance, order: np.ndarray,
         c = int(remaining[0])
         centers.append(c)
         taken = tol_leq(inst.dists_from(c, remaining), remaining_allow)
-        got = remaining[taken]
-        members[c] = [int(v) for v in got]
-        for v, r in zip(got, remaining_allow[taken]):
-            assign[int(v)] = c
-            radius_of[int(v)] = float(r)
-        remaining = remaining[~taken]
-        remaining_allow = remaining_allow[~taken]
+        got = members[c] = remaining[taken].tolist()
+        assign.update(dict.fromkeys(got, c))
+        radius_of.update(zip(got, remaining_allow[taken].tolist()))
+        left = ~taken
+        remaining = remaining[left]
+        remaining_allow = remaining_allow[left]
     return centers, assign, radius_of, members
 
 
@@ -92,7 +91,7 @@ def decompose_variable(inst: MetricInstance, subset, z: int, base: float,
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     order = _subset_order(inst, subset)
-    if int(z) not in set(int(i) for i in order):
+    if not (order == int(z)).any():
         raise ValueError(f"anchor {z} must belong to the decomposed subset")
     dz = inst.dists_from(int(z), order)
     allowance = delta * np.maximum(base, dz / 2.0)

@@ -155,7 +155,9 @@ def cmd_solve(args) -> int:
         print("error: greedy supports only --objective clique", file=sys.stderr)
         return EXIT_USAGE
 
+    t_load = time.perf_counter()
     inst = load_instance(args.infile, q=args.q)
+    load_ms = (time.perf_counter() - t_load) * 1000.0
     obj = Objective(args.objective, args.q)
     kw = {}
     if args.budget is not None:
@@ -199,6 +201,8 @@ def cmd_solve(args) -> int:
     print(rep.machine_line())
     for line in rep.human_lines():
         print(line)
+    backend = "matrix" if inst.points is None else f"points, D={inst.dim}, {inst.norm}"
+    print(f"# load: {inst.n} points ({backend}) in {load_ms:.1f} ms")
     if args.algo == "fast-clique":
         print(_search_line(sol.meta))
     return EXIT_OK

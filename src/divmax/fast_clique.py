@@ -124,7 +124,9 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     z0p = find_center(inst, decomp, CENTER_BALL_COEFF * delta_prime, k)
 
     near = tol_leq(inst.dists_from(z0p), KEEP_BALL_COEFF * delta_prime)
-    inside_cells = [c for c in decomp.centers if any(near[v] for v in decomp.members[c])]
+    # a center is its cell's first member, so a near center settles its cell
+    inside_cells = [c for c in decomp.centers
+                    if near[c] or near[decomp.members[c]].any()]
     inside_set = set(inside_cells)
     outside_cells = [c for c in decomp.centers if c not in inside_set]
 

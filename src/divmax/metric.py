@@ -8,6 +8,7 @@ explicit distance matrix) is invisible to them.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,7 +196,14 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
         points <D> <n> <norm>      followed by n lines of D coordinates
         matrix <n>                 followed by n lines of n distances
 
-    The exponent q is not stored in the file; it is supplied by the caller.
+    Values are separated by whitespace.  Each is a decimal or exponent float
+    in ASCII (``1``, ``-0.5``, ``2.5e-300``), ``inf``/``infinity`` or
+    ``nan``, case-insensitive and optionally signed; underscores and
+    non-ASCII digits are rejected.  Blank lines may follow the last row and
+    nowhere else.  The body is parsed in one ``numpy.loadtxt`` call; only
+    when that fails are the lines searched for the first bad one, whose
+    number the ``InstanceParseError`` carries.  The exponent q is not stored
+    in the file; it is supplied by the caller.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -214,7 +222,7 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
         if norm not in NORMS:
             raise InstanceParseError(f"line 1: unknown norm {norm!r}; expected one of {NORMS}")
         rows = _read_rows(raw, n, d, what="coordinate")
-        return MetricInstance.from_points(np.array(rows), norm=norm, q=q)
+        return MetricInstance.from_points(rows, norm=norm, q=q)
     if head[0] == "matrix":
         if len(head) != 2:
             raise InstanceParseError(f"line 1: expected 'matrix <n>', got {raw[0]!r}")
@@ -223,12 +231,25 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
         except ValueError:
             raise InstanceParseError(f"line 1: non-integer size in {raw[0]!r}") from None
         rows = _read_rows(raw, n, n, what="distance")
-        return MetricInstance.from_matrix(np.array(rows), q=q, validate=validate)
+        return MetricInstance.from_matrix(rows, q=q, validate=validate)
     raise InstanceParseError(
         f"line 1: unknown header {head[0]!r}; expected 'points' or 'matrix'")
 
 
-def _read_rows(raw: list[str], n: int, width: int, what: str) -> list[list[float]]:
+def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
+    """``lines`` as an array of shape (len(lines), width), or None if any line
+    is not ``width`` floats (``loadtxt`` skips blank lines, so those fail the
+    shape test)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a chunk of blank lines warns "no data"
+        try:
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return rows if rows.shape == (len(lines), width) else None
+
+
+def _read_rows(raw: list[str], n: int, width: int, what: str) -> np.ndarray:
     if n < 2:
         raise InstanceParseError(f"line 1: need at least 2 points, got n={n}")
     body = raw[1:]
@@ -237,14 +258,21 @@ def _read_rows(raw: list[str], n: int, width: int, what: str) -> list[list[float
     if len(body) != n:
         raise InstanceParseError(
             f"line {len(raw)}: expected {n} {what} rows, found {len(body)}")
-    rows = []
-    for i, line in enumerate(body, start=2):
-        toks = line.split()
-        if len(toks) != width:
-            raise InstanceParseError(
-                f"line {i}: expected {width} values, found {len(toks)}")
-        try:
-            rows.append([float(t) for t in toks])
-        except ValueError as exc:
-            raise InstanceParseError(f"line {i}: {exc}") from None
-    return rows
+    rows = _parse_rows(body, width)
+    if rows is not None:
+        return rows
+    # Bisect for the first bad line: body[:lo] parses and body[lo:hi] holds
+    # a bad line, so at most n lines are parsed again in all.
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse_rows(body[lo:mid], width) is None:
+            hi = mid
+        else:
+            lo = mid
+    toks = body[lo].split()
+    if len(toks) != width:
+        raise InstanceParseError(
+            f"line {lo + 2}: expected {width} values, found {len(toks)}")
+    bad = next((t for t in toks if _parse_rows([t], 1) is None), body[lo])
+    raise InstanceParseError(f"line {lo + 2}: could not convert string to float: {bad!r}")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import divmax as dm
 from divmax.cells import decompose_fixed, decompose_variable, project_multiset
+from divmax.metric import tol_leq
 
 
 def line_inst(*xs, q=1.0):
@@ -87,6 +88,61 @@ def test_fixed_interval_packing_bound():
     for delta in (0.25, 0.5, 1.0):
         dec = decompose_fixed(inst, range(60), delta)
         assert len(dec.centers) <= math.ceil(4.0 / delta) + 1
+
+
+def reference_greedy(inst, order, allowance):
+    """The decomposition built one point at a time, as a per-point loop."""
+    centers, assign, radius_of, members = [], {}, {}, {}
+    remaining = list(zip(order, allowance))
+    while remaining:
+        c = remaining[0][0]
+        centers.append(c)
+        members[c] = []
+        row = inst.dists_from(c)
+        rest = []
+        for v, r in remaining:
+            if tol_leq(row[v], r):
+                assign[v] = c
+                radius_of[v] = r
+                members[c].append(v)
+            else:
+                rest.append((v, r))
+        remaining = rest
+    return centers, assign, radius_of, members
+
+
+def assert_same_decomposition(dec, ref):
+    centers, assign, radius_of, members = ref
+    assert dec.centers == centers
+    assert list(dec.assign.items()) == list(assign.items())
+    assert list(dec.radius_of.items()) == list(radius_of.items())
+    assert list(dec.members.items()) == list(members.items())
+    assert all(type(v) is int for m in dec.members.values() for v in m)
+    assert all(type(r) is float for r in dec.radius_of.values())
+
+
+@pytest.mark.parametrize("layout", ["uniform", "clustered"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompositions_match_per_point_loop(layout, seed):
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        inst = dm.gen_uniform(300, 2, seed)
+    else:
+        inst = dm.gen_clustered(280, 0.05, rng.uniform(-1, 1, (20, 2)).tolist(), seed)
+    n = inst.n
+    sub = sorted(int(i) for i in rng.choice(n, size=n // 2, replace=False))
+    for subset, order in ((None, list(range(n))), (sub, sub)):
+        for delta in (0.02, 0.1, 0.4):
+            dec = decompose_fixed(inst, subset, delta)
+            assert_same_decomposition(dec, reference_greedy(inst, order, [delta] * len(order)))
+            dec.check(inst)
+        z = order[len(order) // 3]
+        dz = inst.dists_from(z)
+        for delta in (0.05, 0.3):
+            dec = decompose_variable(inst, subset, z, 0.02, delta)
+            allow = [delta * max(0.02, float(dz[v]) / 2.0) for v in order]
+            assert_same_decomposition(dec, reference_greedy(inst, order, allow))
+            dec.check(inst)
 
 
 # ---------------------------------------------------------- variable radius

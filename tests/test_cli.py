@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, RESULT lines, generation, benchmarks."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,27 @@ def test_solve_fast_clique_search_line(capsys, tmp_path):
     assert (f"# search: 0 leaves searched, 794 predicted, budget 793; search skipped, "
             f"greedy + {swaps} swaps, no 1 - 8 eps guarantee") in out.splitlines()
     assert "search_complete=False" in result_line(out)
+
+
+def test_solve_load_line(capsys, square_file, tmp_path):
+    argv = ["solve", "--in", square_file, "--objective", "clique", "--k", "3",
+            "--algo", "fast-clique", "--eps", "0.1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    load = [l for l in out.splitlines() if l.startswith("# load: ")]
+    assert len(load) == 1
+    assert re.fullmatch(r"# load: 4 points \(points, D=2, l2\) in \d+\.\d ms", load[0])
+    # the load time stays off the byte-stable RESULT line
+    assert result_line(out) == (f"RESULT algo=fast-clique objective=clique q=1 k=3 eps=0.1 "
+                                f"n=4 instance={square_file} value=3.41421356 candidates=15 "
+                                f"cells=4 search_complete=True subset=0,1,3")
+    path = str(tmp_path / "m.txt")
+    dm.save_instance(dm.MetricInstance.from_matrix(
+        dm.MetricInstance.from_points(SQUARE).pow_matrix()), path)
+    code, out, _ = run(capsys, ["solve", "--in", path, "--objective", "star", "--k", "2",
+                                "--algo", "brute"])
+    assert code == 0
+    assert re.search(r"^# load: 4 points \(matrix\) in \d+\.\d ms$", out, re.M)
 
 
 def test_solve_machine_line_is_byte_stable(capsys, tmp_path):

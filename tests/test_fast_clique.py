@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
+from divmax import fast_clique
 from divmax.cells import decompose_fixed
 from divmax.diversity import MultiplicityVector, Objective, value_on_multiset, values
 from divmax.fast_clique import find_center, multiplicity_ladder, solve_fast
@@ -100,6 +101,21 @@ def test_find_center_balanced_clusters_fail():
 
 
 # -------------------------------------------------------------- solve_fast
+
+def test_solve_fast_searches_cells_with_any_member_in_the_keep_ball(monkeypatch):
+    # a keep ball of 1.2 delta' cuts one cell of this instance: its center lies
+    # outside and another member inside, and the cell must still be searched
+    monkeypatch.setattr(fast_clique, "KEEP_BALL_COEFF", 1.2)
+    inst, k, eps = dm.gen_uniform(40, 2, 9), 8, 0.9
+    sol = solve_fast(inst, k, eps)
+    z, delta_prime = sol.guess
+    decomp = decompose_fixed(inst, None, eps / 8 * delta_prime)
+    near = tol_leq(inst.dists_from(z), 1.2 * delta_prime)
+    by_member = sum(bool(near[decomp.members[c]].any()) for c in decomp.centers)
+    by_center = sum(bool(near[c]) for c in decomp.centers)
+    assert by_member == by_center + 1
+    assert sol.meta["cells_searched"] == by_member
+
 
 def test_solve_fast_matches_oracle_on_clusters():
     inst = dm.gen_clustered(9, 0.02, [[5.0, 0.0], [0.0, 5.0], [-5.0, -1.0]], seed=3)

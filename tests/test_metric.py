@@ -221,12 +221,57 @@ def test_roundtrip_preserves_any_float(tmp_path_factory, xs):
     ("points 2 2 l2\n0 0\n1 oops\n", 3),       # bad float
     ("matrix 2\n0 1\n1 0\n0 0\n", 4),          # extra row
     ("matrix 1\n0\n", 1),                      # n too small
+    ("points 2 3 l2\n0 0\n\n2 2\n", 3),       # blank line inside the body
+    ("points 2 3 l2\n0 0\n1 #\n2 2\n", 3),    # '#' is a bad float, not a comment
+    ("points 1 3 l2\n0\n# 1\n2\n", 3),
+    ("points 2 2 l2\n0 0\n1 2 # note\n", 3),
+    ("matrix 3\n0 1 1\n1 0 1\n1 1\n", 4),     # matrix row of the wrong width
+    ("points 2 2 l2\n0 0\n1_0 1\n", 3),       # float() accepts underscores
+    ("points 2 2 l2\n0 0\n1 \u0661\n", 3),    # and non-ASCII digits
 ])
 def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(InstanceParseError, match=rf"line {lineno}"):
         dm.load_instance(path)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("7", "expected 2 values, found 1"),
+    ("", "expected 2 values, found 0"),
+    ("7 oops", "could not convert string to float: 'oops'"),
+])
+def test_first_bad_line_is_reported_wherever_it_is(tmp_path, bad, message):
+    # one bad line at every position, alone or followed by a second bad line
+    rows = [f"{i} {i}.5" for i in range(37)]
+    path = tmp_path / "bad.txt"
+    for at in range(36 if bad == "" else 37):  # a blank last line is trailing
+        for later in {None, min(at + 1, 36), 36} - {at}:
+            body = list(rows)
+            body[at] = bad
+            if later is not None:
+                body[later] = "1 2 3"
+            path.write_text("points 2 37 l2\n" + "\n".join(body) + "\n")
+            with pytest.raises(InstanceParseError, match=rf"^line {at + 2}: {message}$"):
+                dm.load_instance(path)
+
+
+def test_load_matches_per_token_float(tmp_path):
+    # the bulk parse must give the same bits as float() on each written token
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 64, size=9000, dtype=np.uint64).view(np.float64)
+    special = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2]
+    xs = np.concatenate([special, bits[np.isfinite(bits)]])
+    xs = xs[: xs.size // 3 * 3].reshape(-1, 3)
+    path = tmp_path / "bits.txt"
+    dm.save_instance(dm.MetricInstance.from_points(xs), path)
+    lines = path.read_text().splitlines()[1:]
+    expect = np.array([[float(t) for t in line.split()] for line in lines])
+    got = dm.load_instance(path).points
+    assert got.shape == xs.shape
+    np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64))
+    np.testing.assert_array_equal(got.view(np.int64), xs.view(np.int64))
 
 
 def test_trailing_blank_lines_are_fine(tmp_path):
