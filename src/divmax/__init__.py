@@ -6,8 +6,7 @@ scheme, a balanced min-bisection scheme, and seeded instance generators.
 """
 from .baselines import brute_force_opt, greedy_clique
 from .bisection import BisectionResult, min_bisection, star_center
-from .cells import (CellDecomposition, decompose_fixed, decompose_variable,
-                    project_multiset)
+from .cells import CellDecomposition, decompose_fixed, decompose_variable
 from .diversity import (EXACT_BIPARTITION_CAP, MULTISET_SPLIT_CAP,
                         MultiplicityVector, Objective, bipartition_value_exact,
                         centroid_clique_identity, clique_value, evaluate,
@@ -36,7 +35,7 @@ __all__ = [
     "diameter_estimate", "enumerate_compositions", "evaluate", "find_center",
     "gen_clustered", "gen_graph_12metric", "gen_ksum_reduction",
     "gen_uniform", "greedy_clique", "load_instance", "min_bisection",
-    "multiplicity_ladder", "project_multiset", "save_instance", "solve",
+    "multiplicity_ladder", "save_instance", "solve",
     "solve_fast", "star_center", "star_value", "term_count",
     "value_on_multiset", "verify_reduction", "zero_sum_subset_exists",
 ]

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import decompose_variable, project_multiset
+from .cells import decompose_variable, lift
 from .compositions import count_compositions, enumerate_compositions, raise_to_total
 from .diversity import cross_values, values
 from .errors import BudgetExceededError
-from .metric import MetricInstance
+from .metric import MetricInstance, check_indices
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -41,6 +41,7 @@ def star_center(inst: MetricInstance, T, q: float | None = None) -> tuple[int, f
     if q is not None and q != inst.q:
         raise ValueError(f"requested exponent {q} != instance exponent {inst.q}")
     elems = [int(t) for t in T]
+    check_indices(inst, elems)
     if len(elems) < 2:
         raise ValueError(f"need at least 2 elements, got {len(elems)}")
     support = sorted(set(elems))
@@ -64,6 +65,7 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     elems = sorted(int(t) for t in T)
+    check_indices(inst, elems)
     k = len(elems)
     if k < 2 or k % 2:
         raise ValueError(f"need an even multiset size >= 2, got {k}")
@@ -87,25 +89,19 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
     grid_frac = eps / (8.0 * (2.0 ** q + 1.0))
 
     decomp = decompose_variable(inst, support, z, base, delta)
-    mv = project_multiset(decomp, elems)
-    centers = list(mv.centers)
-    caps = np.array(mv.mult, dtype=np.int64)
+    # cell of each element of the sorted multiset
+    label = decomp.label[np.searchsorted(decomp.points, elems)]
+    caps = np.bincount(label)
     steps = np.maximum(np.floor(grid_frac * caps).astype(np.int64), 1)
     half = k // 2
-
-    # Members of each cell as positions into the sorted multiset, for the
-    # pre-image.
-    positions: dict[int, list[int]] = {c: [] for c in centers}
-    for pos, e in enumerate(elems):
-        positions[decomp.assign[e]].append(pos)
 
     grid = [range(0, int(c) + 1, int(st)) for c, st in zip(caps, steps)]
     counted = count_compositions(grid, half, at_most=True)
     if counted > budget:
         raise BudgetExceededError(
             f"grid budget exceeded: {counted} predicted candidate vectors > budget {budget}")
-    dq_c = inst.pow_submatrix(centers)
-    m_full = np.asarray(mv.mult, dtype=np.float64)
+    dq_c = inst.pow_submatrix(decomp.centers)
+    m_full = caps.astype(np.float64)
     vmin, pick = np.inf, None
     for block in enumerate_compositions(grid, half, at_most=True):
         # complete each grid vector to exactly k/2 by bounded raises
@@ -124,15 +120,11 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
 
     # a split and its complement tie exactly; choose between them by order,
     # not by the last bit of their computed values
-    pick = min(pick, tuple(m - p for m, p in zip(mv.mult, pick)))
-    left_pos: list[int] = []
-    for c, m in zip(centers, pick):
-        left_pos.extend(positions[c][:m])
-    left_pos.sort()
-    right_pos = sorted(set(range(k)) - set(left_pos))
-    left = [elems[p] for p in left_pos]
-    right = [elems[p] for p in right_pos]
+    pick = min(pick, tuple(m - p for m, p in zip(caps.tolist(), pick)))
+    in_left = np.zeros(k, dtype=bool)
+    in_left[lift(np.arange(k), label, pick)] = True
+    left, right = np.asarray(elems)[in_left], np.asarray(elems)[~in_left]
     value = float(inst.pow_submatrix(left, right).sum())
-    return BisectionResult(tuple(sorted(left)), value, len(decomp.centers),
+    return BisectionResult(tuple(left.tolist()), value, len(decomp.centers),
                            {"z": z, "delta_prime": delta_prime, "delta": delta,
                             "grid_frac": grid_frac, "candidates": counted})

@@ -1,4 +1,4 @@
-"""Greedy cell decompositions and multiset projection.
+"""Greedy cell decompositions and the lift from cell counts back to points.
 
 A decomposition groups a point set into cells around greedily chosen centers:
 points are scanned in ascending index order, the first unassigned point
@@ -6,6 +6,12 @@ becomes a center, and it absorbs every still-unassigned point within its
 admitted radius.  Fixed mode admits a constant radius; variable mode admits
 ``delta * max(base, d(v, z) / 2)`` for each candidate v, so cells grow with
 distance from the anchor z.
+
+The partition is kept in array form: ``points`` lists the decomposed ids in
+ascending order, and ``label`` gives each one's cell as an index into
+``centers``.  Every solver rounds points to ``centers[label]``, scores count
+vectors over the cells, and maps its best vector back to points with
+:func:`lift`, which keeps the lowest-index members of each cell.
 """
 from __future__ import annotations
 
@@ -13,60 +19,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diversity import MultiplicityVector
-from .metric import MetricInstance, tol_leq
+from .metric import MetricInstance, check_indices, tol_leq
 
 
 @dataclass
 class CellDecomposition:
-    centers: list[int]
-    assign: dict[int, int]
-    radius_of: dict[int, float]
-    members: dict[int, list[int]]
-
-    def cell_size(self, center: int) -> int:
-        return len(self.members[center])
+    centers: list[int]     # cell centers in creation order
+    points: np.ndarray     # decomposed ids, ascending
+    label: np.ndarray      # cell of points[i], as an index into centers
+    allowance: np.ndarray  # radius admitted for points[i]
 
     def check(self, inst: MetricInstance) -> None:
         """Assert the net property: members within their admitted radius,
         centers pairwise farther apart than the radius admitted for them."""
-        for v, c in self.assign.items():
-            assert tol_leq(inst.dist(v, c), self.radius_of[v]), (v, c)
-        for i, c in enumerate(self.centers):
-            for c2 in self.centers[i + 1:]:
-                # c2 was not absorbed by c, so their distance exceeds c2's allowance
-                assert inst.dist(c, c2) > self.radius_of[c2], (c, c2)
+        centers = np.asarray(self.centers, dtype=np.int64)
+        center_allowance = self.allowance[np.searchsorted(self.points, centers)]
+        for j, c in enumerate(self.centers):
+            mine = self.label == j
+            assert tol_leq(inst.dists_from(c, self.points[mine]), self.allowance[mine]).all(), c
+            # later centers were not absorbed by c, so each lies beyond its allowance
+            assert (inst.dists_from(c, centers[j + 1:]) > center_allowance[j + 1:]).all(), c
 
 
 def _greedy(inst: MetricInstance, order: np.ndarray,
-            allowance: np.ndarray) -> tuple[list[int], dict, dict, dict]:
+            allowance: np.ndarray) -> CellDecomposition:
     centers: list[int] = []
-    assign: dict[int, int] = {}
-    radius_of: dict[int, float] = {}
-    members: dict[int, list[int]] = {}
-    remaining = order
-    remaining_allow = allowance
+    label = np.empty(order.shape, dtype=np.int64)
+    remaining = np.arange(order.size)  # positions into order
     while remaining.size:
-        c = int(remaining[0])
+        c = int(order[remaining[0]])
+        taken = tol_leq(inst.dists_from(c, order[remaining]), allowance[remaining])
+        label[remaining[taken]] = len(centers)
         centers.append(c)
-        taken = tol_leq(inst.dists_from(c, remaining), remaining_allow)
-        got = members[c] = remaining[taken].tolist()
-        assign.update(dict.fromkeys(got, c))
-        radius_of.update(zip(got, remaining_allow[taken].tolist()))
-        left = ~taken
-        remaining = remaining[left]
-        remaining_allow = remaining_allow[left]
-    return centers, assign, radius_of, members
+        remaining = remaining[~taken]
+    return CellDecomposition(centers, order, label, allowance)
 
 
 def _subset_order(inst: MetricInstance, subset) -> np.ndarray:
     if subset is None:
         return np.arange(inst.n, dtype=np.int64)
     order = np.asarray(sorted({int(i) for i in subset}), dtype=np.int64)
-    if order.size == 0:
-        return order
-    if order[0] < 0 or order[-1] >= inst.n:
-        raise IndexError(f"subset index out of range [0, {inst.n})")
+    check_indices(inst, order)
     return order
 
 
@@ -75,8 +68,7 @@ def decompose_fixed(inst: MetricInstance, subset, delta: float) -> CellDecomposi
     if delta < 0:
         raise ValueError(f"cell radius must be nonnegative, got {delta}")
     order = _subset_order(inst, subset)
-    allowance = np.full(order.shape, float(delta))
-    return CellDecomposition(*_greedy(inst, order, allowance))
+    return _greedy(inst, order, np.full(order.shape, float(delta)))
 
 
 def decompose_variable(inst: MetricInstance, subset, z: int, base: float,
@@ -94,23 +86,19 @@ def decompose_variable(inst: MetricInstance, subset, z: int, base: float,
     if not (order == int(z)).any():
         raise ValueError(f"anchor {z} must belong to the decomposed subset")
     dz = inst.dists_from(int(z), order)
-    allowance = delta * np.maximum(base, dz / 2.0)
-    return CellDecomposition(*_greedy(inst, order, allowance))
+    return _greedy(inst, order, delta * np.maximum(base, dz / 2.0))
 
 
-def project_multiset(decomp: CellDecomposition, subset) -> MultiplicityVector:
-    """Multiplicity of each cell center over ``subset`` (repetition respected).
+def lift(items, label, counts) -> np.ndarray:
+    """The ``counts[j]`` lowest-index items of each cell j, in ascending order.
 
-    Centers appear in creation order; centers missing from ``subset`` are
-    dropped.  Every element of ``subset`` must lie in the decomposed set.
+    ``items`` is ascending and ``label[i]`` is the cell of ``items[i]``.  A
+    count above its cell's size takes the whole cell.
     """
-    counts: dict[int, int] = {}
-    for s in subset:
-        s = int(s)
-        try:
-            c = decomp.assign[s]
-        except KeyError:
-            raise ValueError(f"point {s} is not in the decomposition") from None
-        counts[c] = counts.get(c, 0) + 1
-    centers = [c for c in decomp.centers if counts.get(c, 0) > 0]
-    return MultiplicityVector(tuple(centers), tuple(counts[c] for c in centers))
+    items = np.asarray(items)
+    label = np.asarray(label, dtype=np.int64)
+    by_cell = np.argsort(label, kind="stable")
+    grouped = label[by_cell]
+    rank = np.empty(label.size, dtype=np.int64)
+    rank[by_cell] = np.arange(label.size) - np.searchsorted(grouped, grouped)
+    return items[rank < np.asarray(counts, dtype=np.int64)[label]]

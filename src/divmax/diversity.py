@@ -26,7 +26,7 @@ import numpy as np
 
 from .compositions import enumerate_compositions
 from .errors import EnumerationCapError
-from .metric import MetricInstance
+from .metric import MetricInstance, check_indices
 
 OBJECTIVE_KINDS = ("clique", "star", "bipartition")
 
@@ -66,8 +66,7 @@ def _as_index_array(inst: MetricInstance, subset, min_size: int = 2) -> np.ndarr
     idx = np.asarray(sorted(int(i) for i in subset), dtype=np.int64)
     if idx.size < min_size:
         raise ValueError(f"subset too small: need at least {min_size} points, got {idx.size}")
-    if idx.size and (idx[0] < 0 or idx[-1] >= inst.n):
-        raise IndexError(f"subset index out of range [0, {inst.n})")
+    check_indices(inst, idx)
     return idx
 
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .baselines import greedy_clique
-from .cells import CellDecomposition, decompose_fixed
+from .cells import CellDecomposition, decompose_fixed, lift
 from .compositions import count_compositions, enumerate_compositions, raise_to_total
 from .diversity import clique_value, values
 from .metric import REL_TOL, MetricInstance, tol_leq
@@ -124,18 +124,18 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     z0p = find_center(inst, decomp, CENTER_BALL_COEFF * delta_prime, k)
 
     near = tol_leq(inst.dists_from(z0p), KEEP_BALL_COEFF * delta_prime)
-    # a center is its cell's first member, so a near center settles its cell
-    inside_cells = [c for c in decomp.centers
-                    if near[c] or near[decomp.members[c]].any()]
-    inside_set = set(inside_cells)
-    outside_cells = [c for c in decomp.centers if c not in inside_set]
+    # a cell is searched when any of its members lies in the keep ball
+    inside = np.bincount(decomp.label, weights=near[decomp.points]) > 0
+    sizes = np.bincount(decomp.label)
+    centers = np.asarray(decomp.centers, dtype=np.int64)
+    inside_cells, outside_cells = centers[inside], centers[~inside]
 
-    out_mult = np.array([len(decomp.members[c]) for c in outside_cells], dtype=np.float64)
+    out_mult = sizes[~inside].astype(np.float64)
     fixed = int(out_mult.sum())
     free_k = k - fixed
     assert free_k > 0 or fixed == k
 
-    caps = [min(len(decomp.members[c]), k) for c in inside_cells]
+    caps = np.minimum(sizes[inside], k).tolist()
     ladders = [multiplicity_ladder(c, eps) for c in caps]
     predicted = count_compositions(ladders, free_k, at_most=True)
     meta = {"search_complete": predicted <= budget, "candidates": 0,
@@ -152,7 +152,7 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
         return Solution(subset, value, "fast-clique", guess=(z0p, delta_prime), meta=meta)
 
     table_in = inst.pow_submatrix(inside_cells)
-    if outside_cells:
+    if outside_cells.size:
         cross_sums = inst.pow_submatrix(inside_cells, outside_cells) @ out_mult
         const_out = float(values("clique", inst.pow_submatrix(outside_cells),
                                  out_mult[None, :])[0])
@@ -172,12 +172,9 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
             best_val, best = float(totals[i]), rows[i]
 
     if best is not None:
-        chosen: list[int] = []
-        for c, m in zip(inside_cells, best):
-            chosen.extend(decomp.members[c][: int(m)])
-        for c in outside_cells:
-            chosen.extend(decomp.members[c])
-        cand = tuple(sorted(chosen))
+        counts = sizes.copy()
+        counts[inside] = best
+        cand = tuple(lift(decomp.points, decomp.label, counts).tolist())
         cand_value = clique_value(inst, cand)
         if cand_value > value:
             subset, value = cand, cand_value

@@ -136,6 +136,13 @@ class MetricInstance:
         return self._pow
 
 
+def check_indices(inst: MetricInstance, idx) -> None:
+    """Raise ``IndexError`` unless every index lies in ``[0, inst.n)``."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= inst.n):
+        raise IndexError(f"subset index out of range [0, {inst.n})")
+
+
 def diameter_estimate(inst: MetricInstance) -> float:
     """Largest distance from point 0; the true diameter lies in [estimate, 2*estimate]."""
     return float(inst.dists_from(0).max())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import CellDecomposition, decompose_fixed
+from .cells import decompose_fixed, lift
 from .compositions import count_compositions, enumerate_compositions
 from .diversity import (EXACT_BIPARTITION_CAP, MultiplicityVector, Objective,
                         evaluate, value_on_multiset, values)
@@ -85,16 +85,6 @@ def _rounded_values(inst: MetricInstance, obj: Objective, centers: list[int],
     return values(obj.kind, inst.pow_submatrix(ext), full)
 
 
-def _preimage(decomp: CellDecomposition, counts, outliers) -> tuple[int, ...]:
-    """Concrete subset realizing a count vector: lowest-index members per cell."""
-    chosen: list[int] = []
-    for c, m in zip(decomp.centers, counts):
-        if m:
-            chosen.extend(decomp.members[c][:int(m)])
-    chosen.extend(int(o) for o in outliers)
-    return tuple(sorted(chosen))
-
-
 def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
           *, budget: int = DEFAULT_BUDGET) -> Solution:
     """Best k-subset found by the guess-and-round scheme; value >= (1 - eps) * OPT.
@@ -142,8 +132,8 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
             guesses += 1
             decomp = decompose_fixed(inst, all_idx[inside], cell_scale * s)
             max_cells = max(max_cells, len(decomp.centers))
-            choices = [range(min(len(decomp.members[c]), k), -1, -1)
-                       for c in decomp.centers]
+            choices = [range(min(size, k), -1, -1)
+                       for size in np.bincount(decomp.label).tolist()]
             total = k - int(outliers.size)
             rows = count_compositions(choices, total)
             evaluated += rows
@@ -164,7 +154,8 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
             i = int(vals.argmax())
             if best_counts is None or vals[i] > best_rounded:
                 best_rounded, best_counts = vals[i], counts[i]
-        pre = _preimage(decomp, best_counts, outliers)
+        lifted = lift(decomp.points, decomp.label, best_counts)
+        pre = tuple(np.sort(np.concatenate([lifted, outliers])).tolist())
         val = evaluate(inst, obj, pre, eps=eps)
         if best is None or val > best.value:
             best = Solution(pre, val, "ptas", guess=(z0, float(s) ** q))

@@ -226,7 +226,7 @@ def _check_rounding_maps():
                 delta_avg = opt.value / term_count(kind, 4)
                 for dlt in (0.05, 0.15, 0.4):
                     dec = decompose_fixed(inst, None, dlt * delta_avg ** (1.0 / q))
-                    pi = np.array([dec.assign[u] for u in range(inst.n)], dtype=np.int64)
+                    pi = np.asarray(dec.centers)[dec.label]
                     rounded = dqm[np.ix_(pi, pi)]
                     gap = np.abs(dqm - rounded)
                     bound = 2.0 ** (q + 1.0) * dlt * (delta_avg + np.minimum(dqm, rounded))
@@ -289,7 +289,7 @@ def _check_variable_rounding():
             z = star_center(inst, T)[0]
             for dlt in (0.1, 0.3):
                 dec = decompose_variable(inst, T, z, delta_avg ** (1.0 / q), dlt)
-                pi = np.array([dec.assign[int(u)] for u in T], dtype=np.int64)
+                pi = np.asarray(dec.centers)[dec.label]  # T is sorted and distinct
                 orig = dqm[np.ix_(T, T)]
                 rounded = dqm[np.ix_(pi, pi)]
                 dz = dqm[z][T]

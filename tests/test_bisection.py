@@ -8,7 +8,7 @@ import pytest
 import divmax as dm
 from divmax import bisection
 from divmax.bisection import BisectionResult, min_bisection, star_center
-from divmax.cells import decompose_variable, project_multiset
+from divmax.cells import decompose_variable
 from divmax.diversity import balanced_split_masks, bipartition_value_exact, cross_values
 from divmax.errors import BudgetExceededError
 
@@ -153,6 +153,18 @@ def test_bisection_validation(square):
         min_bisection(square, [], 0.5)
 
 
+
+def test_indices_outside_the_instance_rejected():
+    # numpy would wrap -1 to the last point instead of failing
+    inst = dm.gen_uniform(10, 2, seed=1)
+    with pytest.raises(IndexError, match=r"subset index out of range \[0, 10\)"):
+        star_center(inst, [-1, 0, 3])
+    with pytest.raises(IndexError, match=r"subset index out of range \[0, 10\)"):
+        min_bisection(inst, [-1, -1, -1, -1], 0.5)
+    with pytest.raises(IndexError, match="out of range"):
+        min_bisection(inst, [0, 1, 2, 10], 0.5)
+
+
 def test_bisection_budget():
     inst = dm.gen_uniform(12, 2, seed=41)
     with pytest.raises(BudgetExceededError, match="budget"):
@@ -216,14 +228,13 @@ def test_bisection_grid_covers_exact_optimum(seed, k, q, eps):
     prov = res.provenance
     base = prov["delta_prime"] ** (1.0 / q)
     decomp = decompose_variable(inst, sorted(set(T)), prov["z"], base, prov["delta"])
-    mv = project_multiset(decomp, T)
-    caps = np.array(mv.mult, dtype=np.int64)
+    cells = len(decomp.centers)
+    caps = np.bincount(decomp.label[np.searchsorted(decomp.points, T)], minlength=cells)
     steps = np.maximum(np.floor(prov["grid_frac"] * caps).astype(np.int64), 1)
 
     _, exact_left = bipartition_value_exact(inst, T)
-    star_counts = project_multiset(decomp, exact_left)
-    mstar = np.array([dict(zip(star_counts.centers, star_counts.mult)).get(c, 0)
-                      for c in mv.centers], dtype=np.int64)
+    mstar = np.bincount(decomp.label[np.searchsorted(decomp.points, exact_left)],
+                        minlength=cells)
     g = (mstar // steps) * steps
     assert ((mstar - steps < g) & (g <= mstar)).all()
     deficit = k // 2 - int(g.sum())

@@ -1,4 +1,4 @@
-"""Greedy cell decompositions (fixed and variable radius) and multiset projection."""
+"""Greedy cell decompositions (fixed and variable radius) and the lift to points."""
 import math
 
 import numpy as np
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
-from divmax.cells import decompose_fixed, decompose_variable, project_multiset
+from divmax.cells import decompose_fixed, decompose_variable, lift
 from divmax.metric import tol_leq
 
 
@@ -21,36 +21,36 @@ def test_fixed_line_example():
     inst = line_inst(0.0, 0.4, 1.0)
     dec = decompose_fixed(inst, [0, 1, 2], 0.5)
     assert dec.centers == [0, 2]
-    assert dec.assign == {0: 0, 1: 0, 2: 2}
-    assert dec.members == {0: [0, 1], 2: [2]}
-    assert dec.radius_of[0] == dec.radius_of[1] == dec.radius_of[2] == 0.5
-    assert dec.cell_size(0) == 2 and dec.cell_size(2) == 1
+    assert dec.points.tolist() == [0, 1, 2]
+    assert dec.label.tolist() == [0, 0, 1]
+    assert dec.allowance.tolist() == [0.5, 0.5, 0.5]
+    assert np.bincount(dec.label).tolist() == [2, 1]
 
 
 def test_fixed_everything_one_cell():
     inst = line_inst(0.0, 0.1, 0.2)
     dec = decompose_fixed(inst, [0, 1, 2], 1.0)
-    assert dec.centers == [0] and dec.cell_size(0) == 3
+    assert dec.centers == [0] and dec.label.tolist() == [0, 0, 0]
 
 
 def test_fixed_zero_radius_singletons():
     inst = line_inst(0.0, 1.0, 2.0)
     dec = decompose_fixed(inst, [0, 1, 2], 0.0)
     assert dec.centers == [0, 1, 2]
-    assert all(dec.cell_size(c) == 1 for c in dec.centers)
+    assert dec.label.tolist() == [0, 1, 2]
 
 
 def test_fixed_zero_radius_merges_coincident():
     inst = dm.MetricInstance.from_points([[0.0], [0.0], [1.0]])
     dec = decompose_fixed(inst, [0, 1, 2], 0.0)
-    assert dec.centers == [0, 2] and dec.members[0] == [0, 1]
+    assert dec.centers == [0, 2] and dec.label.tolist() == [0, 0, 1]
 
 
 def test_fixed_subset_order_independent_of_listing():
     inst = line_inst(0.0, 0.4, 1.0)
     a = decompose_fixed(inst, [2, 0, 1], 0.5)
     b = decompose_fixed(inst, [0, 1, 2], 0.5)
-    assert a.centers == b.centers and a.assign == b.assign
+    assert a.centers == b.centers and a.label.tolist() == b.label.tolist()
 
 
 def test_fixed_negative_radius_rejected(square):
@@ -72,8 +72,8 @@ def test_fixed_is_a_net(seed, delta):
     inst = dm.MetricInstance.from_points(rng.random((18, 2)))
     dec = decompose_fixed(inst, range(18), delta)
     dec.check(inst)
-    for u, c in dec.assign.items():
-        assert inst.dist(u, c) <= delta * (1 + 1e-12)
+    for u, j in zip(dec.points.tolist(), dec.label.tolist()):
+        assert inst.dist(u, dec.centers[j]) <= delta * (1 + 1e-12)
     cs = dec.centers
     for i, a in enumerate(cs):
         for b in cs[i + 1:]:
@@ -91,34 +91,31 @@ def test_fixed_interval_packing_bound():
 
 
 def reference_greedy(inst, order, allowance):
-    """The decomposition built one point at a time, as a per-point loop."""
-    centers, assign, radius_of, members = [], {}, {}, {}
-    remaining = list(zip(order, allowance))
+    """The decomposition built one point at a time, as a per-point loop:
+    centers, and each point's cell index and admitted radius in ``order``."""
+    centers, label, radius_of = [], {}, dict(zip(order, allowance))
+    remaining = list(order)
     while remaining:
-        c = remaining[0][0]
-        centers.append(c)
-        members[c] = []
+        c = remaining[0]
         row = inst.dists_from(c)
         rest = []
-        for v, r in remaining:
-            if tol_leq(row[v], r):
-                assign[v] = c
-                radius_of[v] = r
-                members[c].append(v)
+        for v in remaining:
+            if tol_leq(row[v], radius_of[v]):
+                label[v] = len(centers)
             else:
-                rest.append((v, r))
+                rest.append(v)
+        centers.append(c)
         remaining = rest
-    return centers, assign, radius_of, members
+    return centers, [label[v] for v in order], [radius_of[v] for v in order]
 
 
-def assert_same_decomposition(dec, ref):
-    centers, assign, radius_of, members = ref
+def assert_same_decomposition(dec, order, ref):
+    centers, label, allowance = ref
     assert dec.centers == centers
-    assert list(dec.assign.items()) == list(assign.items())
-    assert list(dec.radius_of.items()) == list(radius_of.items())
-    assert list(dec.members.items()) == list(members.items())
-    assert all(type(v) is int for m in dec.members.values() for v in m)
-    assert all(type(r) is float for r in dec.radius_of.values())
+    assert all(type(c) is int for c in dec.centers)
+    assert dec.points.tolist() == order
+    assert dec.label.tolist() == label
+    assert dec.allowance.tolist() == allowance
 
 
 @pytest.mark.parametrize("layout", ["uniform", "clustered"])
@@ -134,14 +131,15 @@ def test_decompositions_match_per_point_loop(layout, seed):
     for subset, order in ((None, list(range(n))), (sub, sub)):
         for delta in (0.02, 0.1, 0.4):
             dec = decompose_fixed(inst, subset, delta)
-            assert_same_decomposition(dec, reference_greedy(inst, order, [delta] * len(order)))
+            assert_same_decomposition(dec, order,
+                                      reference_greedy(inst, order, [delta] * len(order)))
             dec.check(inst)
         z = order[len(order) // 3]
         dz = inst.dists_from(z)
         for delta in (0.05, 0.3):
             dec = decompose_variable(inst, subset, z, 0.02, delta)
             allow = [delta * max(0.02, float(dz[v]) / 2.0) for v in order]
-            assert_same_decomposition(dec, reference_greedy(inst, order, allow))
+            assert_same_decomposition(dec, order, reference_greedy(inst, order, allow))
             dec.check(inst)
 
 
@@ -153,24 +151,22 @@ def test_variable_two_points_far_apart():
     inst = line_inst(0.0, 10.0)
     dec = decompose_variable(inst, [0, 1], z=0, base=1.0, delta=0.1)
     assert dec.centers == [0, 1]
-    assert dec.radius_of[0] == pytest.approx(0.1)
-    assert dec.radius_of[1] == pytest.approx(0.5)
+    assert dec.allowance.tolist() == pytest.approx([0.1, 0.5])
 
 
 def test_variable_growing_allowance_merges_far_points():
     # same layout, delta 3: the far point's allowance 15 covers distance 10
     inst = line_inst(0.0, 10.0)
     dec = decompose_variable(inst, [0, 1], z=0, base=1.0, delta=3.0)
-    assert dec.centers == [0] and dec.cell_size(0) == 2
+    assert dec.centers == [0] and dec.label.tolist() == [0, 0]
 
 
 def test_variable_allowance_formula():
     inst = line_inst(0.0, 1.0, 6.0)
     dec = decompose_variable(inst, [0, 1, 2], z=0, base=2.0, delta=0.5)
-    assert dec.radius_of[0] == pytest.approx(1.0)        # 0.5 * max(2, 0)
-    assert dec.radius_of[1] == pytest.approx(1.0)        # 0.5 * max(2, 0.5)
-    assert dec.radius_of[2] == pytest.approx(1.5)        # 0.5 * max(2, 3)
-    assert dec.assign[1] == 0  # allowance 1.0 >= d(0,1)
+    # 0.5 * max(2, 0), 0.5 * max(2, 0.5), 0.5 * max(2, 3)
+    assert dec.allowance.tolist() == pytest.approx([1.0, 1.0, 1.5])
+    assert dec.label[1] == 0  # allowance 1.0 >= d(0,1)
 
 
 def test_variable_z_must_be_inside():
@@ -190,63 +186,64 @@ def test_variable_membership_within_allowance(seed, delta):
     z = sub[0]
     dec = decompose_variable(inst, sub, z=z, base=0.3, delta=delta)
     dec.check(inst)
-    for u, c in dec.assign.items():
+    for u, j in zip(dec.points.tolist(), dec.label.tolist()):
         allowance = delta * max(0.3, inst.dist(z, u) / 2.0)
-        assert inst.dist(u, c) <= allowance * (1 + 1e-12)
-    assert set(dec.assign) == set(sub)
+        assert inst.dist(u, dec.centers[j]) <= allowance * (1 + 1e-12)
+    assert dec.points.tolist() == sub
 
 
 def test_decomposition_determinism(square):
     a = decompose_fixed(square, range(4), 0.7)
     b = decompose_fixed(square, range(4), 0.7)
-    assert a.centers == b.centers and a.assign == b.assign and a.members == b.members
+    assert a.centers == b.centers and a.label.tolist() == b.label.tolist()
 
 
-# --------------------------------------------------------------- projection
+# ------------------------------------------------- projection and the lift
+
+def centers_of(dec):
+    """Each decomposed point's cell center, the rounding map of the solvers."""
+    return np.asarray(dec.centers)[dec.label].tolist()
+
 
 def test_project_full_cell_single_center():
     inst = line_inst(0.0, 0.1, 0.2)
     dec = decompose_fixed(inst, [0, 1, 2], 1.0)
-    mv = project_multiset(dec, [0, 1, 2])
-    assert mv.centers == (0,) and mv.mult == (3,)
+    assert centers_of(dec) == [0, 0, 0]
+    assert lift(dec.points, dec.label, [3]).tolist() == [0, 1, 2]
+    # a count above the cell size takes the whole cell
+    assert lift(dec.points, dec.label, [5]).tolist() == [0, 1, 2]
 
 
 def test_project_spec_shape():
     inst = line_inst(0.0, 0.4, 1.0)
     dec = decompose_fixed(inst, [0, 1, 2], 0.5)
-    mv = project_multiset(dec, [1, 2])
-    assert mv.centers == (0, 2) and mv.mult == (1, 1)
-    mv = project_multiset(dec, [0, 1])
-    assert mv.centers == (0,) and mv.mult == (2,)
-
-
-def test_project_empty_subset():
-    inst = line_inst(0.0, 1.0)
-    dec = decompose_fixed(inst, [0, 1], 0.1)
-    mv = project_multiset(dec, [])
-    assert mv.centers == () and mv.mult == () and mv.size == 0
-
-
-def test_project_respects_repetition():
-    inst = line_inst(0.0, 0.4, 1.0)
-    dec = decompose_fixed(inst, [0, 1, 2], 0.5)
-    mv = project_multiset(dec, [1, 1, 2])
-    assert mv.centers == (0, 2) and mv.mult == (2, 1)
-    assert mv.size == 3 and mv.expand() == [0, 0, 2]
-
-
-def test_project_outside_point_rejected():
-    inst = line_inst(0.0, 0.4, 1.0)
-    dec = decompose_fixed(inst, [0, 1], 0.5)
-    with pytest.raises(ValueError, match="point 2 is not in the decomposition"):
-        project_multiset(dec, [2])
+    assert centers_of(dec) == [0, 0, 2]
+    assert lift(dec.points, dec.label, [1, 1]).tolist() == [0, 2]
+    assert lift(dec.points, dec.label, [2, 0]).tolist() == [0, 1]
+    assert lift(dec.points, dec.label, [0, 0]).tolist() == []
 
 
 def test_project_preserves_creation_order():
-    # centers appear in decomposition creation order, not index order
-    inst = dm.MetricInstance.from_points([[0.0], [5.0], [4.9]])
-    dec = decompose_fixed(inst, [1, 2, 0], 0.5)
-    assert dec.centers[0] == 0  # lowest index scanned first regardless of listing
-    mv = project_multiset(dec, [0, 1, 2])
-    assert list(mv.centers) == dec.centers
-    assert sum(mv.mult) == 3
+    # labels index centers in creation order, and the lowest index is
+    # scanned first regardless of listing
+    inst = dm.MetricInstance.from_points([[0.0], [5.0], [4.9], [0.1]])
+    dec = decompose_fixed(inst, [1, 2, 3, 0], 0.5)
+    assert dec.centers == [0, 1]
+    assert centers_of(dec) == [0, 1, 1, 0]
+    assert lift(dec.points, dec.label, [1, 2]).tolist() == [0, 1, 2]
+    assert lift(dec.points, dec.label, [2, 1]).tolist() == [0, 1, 3]
+
+
+@settings(max_examples=80)
+@given(st.lists(st.integers(0, 5), max_size=40), st.data())
+def test_lift_matches_per_cell_loop(labels, data):
+    cells = max(labels, default=-1) + 1
+    sizes = [labels.count(j) for j in range(cells)]
+    counts = [data.draw(st.integers(0, s)) for s in sizes]
+    items = sorted(data.draw(st.sets(st.integers(0, 1000), min_size=len(labels),
+                                     max_size=len(labels))))
+    expected = []
+    for j, m in enumerate(counts):
+        expected.extend([v for v, c in zip(items, labels) if c == j][:m])
+    got = lift(np.array(items, dtype=np.int64), np.array(labels, dtype=np.int64), counts)
+    assert got.tolist() == sorted(expected)

@@ -76,8 +76,9 @@ def test_solve_fast_clique_search_line(capsys, tmp_path):
             "--algo", "fast-clique", "--eps", "0.2"]
     code, out, _ = run(capsys, argv)
     assert code == 0
-    assert ("# search: 794 leaves searched, 794 predicted, budget 100000; "
-            "complete, so the 1 - 8 eps guarantee holds") in out.splitlines()
+    assert ("# search: 794 leaves searched, 794 predicted, budget 100000; complete, "
+            "but value >= (1 - 8*eps) * OPT = -0.6 * OPT is vacuous since 8*eps >= 1"
+            ) in out.splitlines()
     assert "search:" not in result_line(out) and "budget" not in result_line(out)
     code, out, _ = run(capsys, argv + ["--budget", "793"])
     assert code == 0
@@ -85,6 +86,22 @@ def test_solve_fast_clique_search_line(capsys, tmp_path):
     assert (f"# search: 0 leaves searched, 794 predicted, budget 793; search skipped, "
             f"greedy + {swaps} swaps, no 1 - 8 eps guarantee") in out.splitlines()
     assert "search_complete=False" in result_line(out)
+
+
+@pytest.mark.parametrize("eps,claim", [
+    ("0.5", "but value >= (1 - 8*eps) * OPT = -3 * OPT is vacuous since 8*eps >= 1"),
+    ("0.05", "so value >= (1 - 8*eps) * OPT = 0.6 * OPT holds"),
+])
+def test_solve_fast_clique_search_line_states_its_bound(capsys, tmp_path, eps, claim):
+    path = str(tmp_path / "u.txt")
+    assert cli.main(["gen", "uniform", "--n", "12", "--seed", "1002", "--out", path]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["solve", "--in", path, "--objective", "clique", "--k", "4",
+                                "--algo", "fast-clique", "--eps", eps])
+    assert code == 0
+    search = [l for l in out.splitlines() if l.startswith("# search: ")]
+    assert len(search) == 1 and search[0].endswith(f"; complete, {claim}")
+    assert "OPT" not in result_line(out)
 
 
 def test_solve_load_line(capsys, square_file, tmp_path):

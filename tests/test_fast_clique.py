@@ -111,7 +111,7 @@ def test_solve_fast_searches_cells_with_any_member_in_the_keep_ball(monkeypatch)
     z, delta_prime = sol.guess
     decomp = decompose_fixed(inst, None, eps / 8 * delta_prime)
     near = tol_leq(inst.dists_from(z), 1.2 * delta_prime)
-    by_member = sum(bool(near[decomp.members[c]].any()) for c in decomp.centers)
+    by_member = len(set(decomp.label[near].tolist()))
     by_center = sum(bool(near[c]) for c in decomp.centers)
     assert by_member == by_center + 1
     assert sol.meta["cells_searched"] == by_member

@@ -157,6 +157,18 @@ def test_solve_clustered_with_outliers():
     assert tol_leq(sol.value, opt.value)
 
 
+
+def test_solve_bipartition_above_exact_cap_scores_rows_one_by_one():
+    # k = 18 > EXACT_BIPARTITION_CAP, so every candidate row is scored by its
+    # own value_on_multiset call; here each is one min_bisection call
+    assert dm.EXACT_BIPARTITION_CAP < 18
+    inst = dm.gen_clustered(16, 0.01, [(1.0, 0.0), (0.0, 1.0)], seed=3)
+    obj = dm.Objective("bipartition")
+    sol = solve(inst, obj, 18, 0.5)
+    assert sol.subset == tuple(range(18))
+    assert sol.value == dm.evaluate(inst, obj, sol.subset, eps=0.5)
+
+
 @pytest.mark.parametrize("q", [1.0, 2.0])
 @pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))
 def test_solve_ratio_small_grid(q, kind):
