@@ -8,6 +8,7 @@ lines prefixed with ``#`` that carry timings and context.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -205,6 +206,11 @@ def cmd_solve(args) -> int:
     print(f"# load: {inst.n} points ({backend}) in {load_ms:.1f} ms")
     if args.algo == "fast-clique":
         print(_search_line(sol.meta, args.eps))
+    elif args.algo == "ptas":
+        m = sol.meta
+        print(f"# guesses: {m['guesses']} planned, {m['repeats']} repeats, "
+              f"{m['dominated']} dominated, {m['scored']} scored; {m['candidates']} candidates"
+              f" = {m['candidates'] / math.comb(inst.n, args.k):.2f} x C({inst.n},{args.k})")
     return EXIT_OK
 
 

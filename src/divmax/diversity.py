@@ -109,6 +109,7 @@ def bipartition_value_exact(inst: MetricInstance, subset) -> tuple[float, tuple[
     Repetition in ``subset`` is allowed; copies behave as coincident points.
     """
     idx = np.asarray(sorted(int(i) for i in subset), dtype=np.int64)
+    check_indices(inst, idx)
     k = idx.size
     if k < 2 or k % 2:
         raise ValueError(f"bipartition needs an even subset size >= 2, got {k}")
@@ -184,6 +185,7 @@ def value_on_multiset(inst: MetricInstance, obj: Objective, mv: MultiplicityVect
     """
     if obj.q != inst.q:
         raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
+    check_indices(inst, mv.centers)
     centers = [c for c, m in zip(mv.centers, mv.mult) if m > 0]
     mult = np.array([m for m in mv.mult if m > 0], dtype=np.float64)
     total = int(mult.sum())

@@ -8,7 +8,10 @@ enumerates multiplicity vectors over the cell centers.  Each candidate
 multiset is scored after rounding every point to its cell center, and the
 best candidate's pre-image is returned.  With cell radius eps / 2^(q+3) times
 the guessed scale, rounding changes any candidate's value by at most an eps
-fraction of the optimum, which yields the (1 - eps) guarantee.
+fraction of the optimum, which yields the (1 - eps) guarantee.  Once every
+cell is a singleton, rounding is the identity and such guesses pose one
+exact problem, so each rounded problem is scored once: a run whose cells are
+all singletons costs one enumeration of C(n, k) rows.
 """
 from __future__ import annotations
 
@@ -90,10 +93,17 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     """Best k-subset found by the guess-and-round scheme; value >= (1 - eps) * OPT.
 
     Guesses run over descending scale candidates and ascending center
-    candidates; equal-value solutions keep the first one encountered.  Each
-    guess's candidate vectors are counted exactly before any guess is
-    enumerated, and the solve raises at the first guess whose running total
-    exceeds ``budget``.
+    candidates; equal-value solutions keep the first one encountered.  A guess
+    with the same outliers and cell labels as an earlier one poses the same
+    problem and is dropped.  A guess whose cells are all singletons rounds
+    nothing, so it scores every k-subset that contains its outliers exactly.
+    Any other guess whose outliers contain those lifts only to such subsets,
+    so it is dominated and dropped without changing the best value; only a
+    bit-exact tie between distinct subsets could change the one returned.
+    Bipartitions above ``EXACT_BIPARTITION_CAP`` score rows by a ``1 + eps``
+    estimate, so there only repeats are dropped.  The kept guesses' candidates
+    are counted exactly before any is enumerated, and the solve raises at the
+    first guess whose running total exceeds ``budget``.
     """
     if obj.q != inst.q:
         raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
@@ -108,41 +118,51 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     if not grid.delta_candidates:
         subset = tuple(range(k))
         return Solution(subset, 0.0, "ptas", guess=(0, 0.0),
-                        meta={"guesses": 0, "candidates": 0, "max_cells": 0})
+                        meta=dict.fromkeys(("guesses", "repeats", "dominated", "scored",
+                                            "candidates", "max_cells"), 0))
     q = inst.q
     cell_scale = eps / 2.0 ** (q + 3)
     ball_coeff = GUESS_SLACK * OUTLIER_RADIUS_COEFF[obj.kind]
 
     plan = []
-    evaluated = 0
     guesses = 0
     max_cells = 0
     seen: set[tuple[int, bytes]] = set()
+    problems: set[tuple[bytes, bytes]] = set()
     all_idx = np.arange(inst.n, dtype=np.int64)
     for si, s in enumerate(grid.delta_candidates):
         for z0 in grid.z0_candidates:
             inside = tol_leq(inst.dists_from(z0), ball_coeff * s)
             outliers = all_idx[~inside]
-            if outliers.size > k:
+            if outliers.size > k or (si, outliers.tobytes()) in seen:
                 continue
-            key = (si, outliers.tobytes())
-            if key in seen:
-                continue
-            seen.add(key)
+            seen.add((si, outliers.tobytes()))
             guesses += 1
             decomp = decompose_fixed(inst, all_idx[inside], cell_scale * s)
             max_cells = max(max_cells, len(decomp.centers))
-            choices = [range(min(size, k), -1, -1)
-                       for size in np.bincount(decomp.label).tolist()]
-            total = k - int(outliers.size)
-            rows = count_compositions(choices, total)
-            evaluated += rows
-            if evaluated > budget:
-                raise BudgetExceededError(
-                    f"candidate budget exceeded: {evaluated} predicted candidates > "
-                    f"budget {budget} (scale {s!r}, center {z0})")
-            if rows:
-                plan.append((s, z0, decomp, outliers, choices, total))
+            # the points are the non-outliers and each center is its cell's
+            # lowest-index member, so this key fixes all but the cell radius
+            problem = (decomp.label.tobytes(), outliers.tobytes())
+            if problem not in problems:
+                problems.add(problem)
+                choices = [range(min(size, k), -1, -1)
+                           for size in np.bincount(decomp.label).tolist()]
+                plan.append((s, z0, decomp, outliers, choices, k - int(outliers.size)))
+    repeats = guesses - len(plan)
+    if obj.kind != "bipartition" or k <= EXACT_BIPARTITION_CAP:
+        floors = [(i, set(g[3].tolist())) for i, g in enumerate(plan)
+                  if len(g[2].centers) == g[2].points.size]
+        plan = [g for i, g in enumerate(plan)
+                if not any(j != i and f.issubset(g[3].tolist()) for j, f in floors)]
+    dominated = guesses - repeats - len(plan)
+
+    evaluated = 0
+    for s, z0, _, _, choices, total in plan:
+        evaluated += count_compositions(choices, total)
+        if evaluated > budget:
+            raise BudgetExceededError(
+                f"candidate budget exceeded: {evaluated} predicted candidates > "
+                f"budget {budget} (scale {s!r}, center {z0})")
 
     best: Solution | None = None
     for s, z0, decomp, outliers, choices, total in plan:
@@ -160,5 +180,6 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
         if best is None or val > best.value:
             best = Solution(pre, val, "ptas", guess=(z0, float(s) ** q))
     assert best is not None
-    best.meta.update(guesses=guesses, candidates=evaluated, max_cells=max_cells)
+    best.meta.update(guesses=guesses, repeats=repeats, dominated=dominated,
+                     scored=len(plan), candidates=evaluated, max_cells=max_cells)
     return best

@@ -60,6 +60,26 @@ def test_solve_with_oracle_ratio(capsys, square_file):
     assert 0.5 * (1 - 1e-9) <= ratio <= 1.0 + 1e-9
 
 
+def test_solve_ptas_guesses_line(capsys, tmp_path):
+    path = str(tmp_path / "u.txt")
+    assert cli.main(["gen", "uniform", "--n", "12", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, ["solve", "--in", path, "--objective", "clique",
+                                "--k", "4", "--algo", "ptas", "--eps", "0.3"])
+    assert code == 0
+    sol = dm.solve(dm.load_instance(path), dm.Objective("clique"), 4, 0.3)
+    m = sol.meta
+    assert m["guesses"] == m["repeats"] + m["dominated"] + m["scored"]
+    assert m["candidates"] == math.comb(12, 4)
+    want = (f"# guesses: {m['guesses']} planned, {m['repeats']} repeats, "
+            f"{m['dominated']} dominated, {m['scored']} scored; "
+            f"{m['candidates']} candidates = 1.00 x C(12,4)")
+    assert want in out.splitlines()
+    line = result_line(out)
+    assert f"candidates={m['candidates']} " in line
+    assert "repeats" not in line and "dominated" not in line and "scored" not in line
+
+
 def test_solve_fast_clique_path(capsys, square_file):
     code, out, _ = run(capsys, ["solve", "--in", square_file, "--objective", "clique",
                                 "--k", "3", "--algo", "fast-clique", "--eps", "0.1"])

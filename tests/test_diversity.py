@@ -84,6 +84,21 @@ def test_subset_too_small(square):
         dm.star_value(square, [0, 9])
 
 
+def test_bipartition_and_multiset_reject_out_of_range_indices():
+    # numpy would wrap -1 to the last point; clique and star already raise
+    inst = dm.gen_uniform(10, 2, seed=1)
+    msg = r"subset index out of range \[0, 10\)"
+    with pytest.raises(IndexError, match=msg):
+        dm.evaluate(inst, dm.Objective("bipartition"), [-1, 0, 3, 4])
+    with pytest.raises(IndexError, match=msg):
+        dm.bipartition_value_exact(inst, [0, 3, 4, 10])
+    for kind in ("clique", "star", "bipartition"):
+        for centers in ((-1, 0), (0, 10)):
+            with pytest.raises(IndexError, match=msg):
+                dm.value_on_multiset(inst, dm.Objective(kind),
+                                     dm.MultiplicityVector(centers, (2, 2)))
+
+
 def test_balanced_split_masks():
     masks = balanced_split_masks(4)
     np.testing.assert_array_equal(

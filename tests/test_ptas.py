@@ -160,13 +160,23 @@ def test_solve_clustered_with_outliers():
 
 def test_solve_bipartition_above_exact_cap_scores_rows_one_by_one():
     # k = 18 > EXACT_BIPARTITION_CAP, so every candidate row is scored by its
-    # own value_on_multiset call; here each is one min_bisection call
+    # own value_on_multiset call; here each is one min_bisection call.  Those
+    # scores are 1 + eps estimates, so exact repeats are the only guesses
+    # dropped: 24 guesses, one row each, 14 of them repeats
     assert dm.EXACT_BIPARTITION_CAP < 18
     inst = dm.gen_clustered(16, 0.01, [(1.0, 0.0), (0.0, 1.0)], seed=3)
     obj = dm.Objective("bipartition")
-    sol = solve(inst, obj, 18, 0.5)
+    calls = mock.Mock(wraps=ptas.value_on_multiset)
+    with mock.patch.object(ptas, "value_on_multiset", calls):
+        sol = solve(inst, obj, 18, 0.5)
     assert sol.subset == tuple(range(18))
     assert sol.value == dm.evaluate(inst, obj, sol.subset, eps=0.5)
+    assert {key: sol.meta[key] for key in ("guesses", "repeats", "dominated", "scored")} == {
+        "guesses": 24, "repeats": 14, "dominated": 0, "scored": 10}
+    assert sol.meta["candidates"] == calls.call_count == 10
+    # with rows scored exactly, three of the ten would be dominated
+    with mock.patch.object(ptas, "EXACT_BIPARTITION_CAP", 18):
+        assert solve(inst, obj, 18, 0.5).meta["dominated"] == 3
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
@@ -214,6 +224,85 @@ def test_solve_budget_checked_before_any_enumeration():
     enum.assert_not_called()
 
 
+def test_solve_budget_is_the_deduplicated_count():
+    # the budget bounds the rows actually scored: exactly that many passes,
+    # and the enumeration yields exactly that many rows
+    inst = dm.gen_uniform(10, 2, seed=5)
+    obj = dm.Objective("clique")
+    sol = solve(inst, obj, 4, 0.4)
+    need = sol.meta["candidates"]
+    assert sol.meta["repeats"] + sol.meta["dominated"] > 0
+    rows = []
+
+    def counting(*args, **kwargs):
+        for block in compositions.enumerate_compositions(*args, **kwargs):
+            rows.append(block.shape[0])
+            yield block
+
+    with mock.patch.object(ptas, "enumerate_compositions", counting):
+        again = solve(inst, obj, 4, 0.4, budget=need)
+    assert sum(rows) == need
+    assert (again.subset, again.value, again.meta) == (sol.subset, sol.value, sol.meta)
+
+
+def _spaced(seed: int, n: int, gap: float) -> dm.MetricInstance:
+    rng = np.random.default_rng(seed)
+    pts: list[np.ndarray] = []
+    while len(pts) < n:
+        p = rng.uniform(0.0, 1.0, size=2)
+        if all(np.hypot(*(p - o)) >= gap for o in pts):
+            pts.append(p)
+    return dm.MetricInstance.from_points(pts, q=2.0)
+
+
+@pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))
+def test_solve_singleton_cells_cost_one_enumeration(kind):
+    # no cell radius reaches the 0.1 gap, so every guess has singleton cells
+    # and the one without outliers dominates the rest: C(n, k) rows in all
+    inst = _spaced(3, 14, 0.1)
+    obj = dm.Objective(kind, 2.0)
+    sol = solve(inst, obj, 6, 0.25)
+    assert sol.meta["candidates"] == math.comb(14, 6)
+    assert sol.meta["scored"] == 1
+    assert sol.meta["guesses"] == 1 + sol.meta["repeats"] + sol.meta["dominated"]
+    opt = dm.brute_force_opt(inst, obj, 6)
+    assert sol.value == opt.value and sol.subset == opt.subset
+
+
+_C3 = [[3.0, 0.0], [0.0, 3.0], [-2.5, -2.5]]
+
+# subset and value as returned before repeats and dominated guesses were
+# dropped; candidates are the rows scored now, with the former count after #
+FROZEN = [
+    ("uniform", (12, 2, 1), "clique", 1.0, 4, 0.3,
+     (1, 3, 4, 11), 4.313561933338017, 495),                   # 2354
+    ("uniform", (12, 2, 2), "star", 2.0, 5, 0.5,
+     (1, 3, 4, 8, 11), 1.8504730075404505, 792),               # 4995
+    ("uniform", (14, 2, 3), "bipartition", 1.0, 6, 0.25,
+     (0, 2, 4, 7, 10, 12), 5.953398615848756, 3003),           # 25291
+    ("uniform", (10, 3, 4), "clique", 2.0, 5, 0.4,
+     (1, 2, 5, 7, 9), 7.628512014839793, 252),                 # 1518
+    ("clustered", (10, 0.05, _C3, 2), "clique", 1.0, 4, 0.25,
+     (6, 10, 11, 12), 25.87457480536549, 500),                 # 527
+    ("clustered", (12, 0.02, [[4.0, 0.0], [0.0, 4.5]], 7), "star", 1.0, 4, 0.3,
+     (1, 10, 12, 13), 8.534863832454697, 219),                 # 235
+    ("clustered", (12, 0.01, [[1.0, 0.0], [0.0, 1.0]], 3), "bipartition", 1.0, 6, 0.5,
+     (2, 3, 5, 9, 12, 13), 5.4591005916058455, 770),           # 1408
+    ("clustered", (14, 0.1, [[2.0, 0.0]], 5), "clique", 2.0, 5, 0.5,
+     (0, 9, 10, 13, 14), 16.89768657355916, 4844),             # 7452
+]
+
+
+@pytest.mark.parametrize("gen, args, kind, q, k, eps, subset, value, candidates", FROZEN)
+def test_solve_frozen_answers(gen, args, kind, q, k, eps, subset, value, candidates):
+    if gen == "uniform":
+        inst = dm.gen_uniform(*args[:2], seed=args[2], q=q)
+    else:
+        inst = dm.gen_clustered(*args[:3], seed=args[3], q=q)
+    sol = solve(inst, dm.Objective(kind, q), k, eps)
+    assert (sol.subset, sol.value, sol.meta["candidates"]) == (subset, value, candidates)
+
+
 def test_solve_meta_counters(square_center):
     sol = solve(square_center, dm.Objective("clique"), 3, 0.5)
     assert sol.meta["guesses"] > 0
@@ -246,4 +335,5 @@ def test_solve_all_coincident():
     inst = dm.MetricInstance.from_points([[1.0, 2.0]] * 6)
     sol = solve(inst, dm.Objective("clique"), 3, 0.5)
     assert sol.subset == (0, 1, 2) and sol.value == 0.0
-    assert sol.meta == {"guesses": 0, "candidates": 0, "max_cells": 0}
+    assert sol.meta == {"guesses": 0, "repeats": 0, "dominated": 0, "scored": 0,
+                        "candidates": 0, "max_cells": 0}
