@@ -136,7 +136,7 @@ def evaluate(inst: MetricInstance, obj: Objective, subset, *, eps: float | None 
         return clique_value(inst, subset)
     if obj.kind == "star":
         return star_value(inst, subset)[0]
-    k = len(list(subset))
+    k = len(subset := list(subset))  # read once: it may be an iterator
     if k <= EXACT_BIPARTITION_CAP:
         return bipartition_value_exact(inst, subset)[0]
     if eps is None:
@@ -145,7 +145,7 @@ def evaluate(inst: MetricInstance, obj: Objective, subset, *, eps: float | None 
             "pass eps to evaluate approximately")
     from .bisection import min_bisection
 
-    return min_bisection(inst, list(subset), eps).value
+    return min_bisection(inst, subset, eps).value
 
 
 @dataclass(frozen=True)

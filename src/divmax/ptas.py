@@ -76,16 +76,14 @@ def build_guess_grid(inst: MetricInstance, k: int) -> GuessGrid:
     return GuessGrid(cands, list(range(inst.n)))
 
 
-def _rounded_values(inst: MetricInstance, obj: Objective, centers: list[int],
-                    outliers: np.ndarray, counts: np.ndarray,
-                    eps: float) -> np.ndarray:
-    """Vector of rounded objective values, one per candidate count row."""
-    ext = list(centers) + [int(o) for o in outliers]
-    full = np.hstack([counts, np.ones((counts.shape[0], len(outliers)), dtype=np.int64)])
+def _rounded_values(inst: MetricInstance, obj: Objective, ext: list[int], dq: np.ndarray,
+                    counts: np.ndarray, eps: float) -> np.ndarray:
+    """Rounded values of count rows over ``ext`` = centers + outliers (d^q block ``dq``)."""
+    full = np.hstack([counts, np.ones((len(counts), len(ext) - counts.shape[1]), np.int64)])
     if obj.kind == "bipartition" and int(full[0].sum()) > EXACT_BIPARTITION_CAP:
         return np.array([value_on_multiset(inst, obj, MultiplicityVector(tuple(ext), tuple(row)),
                                            eps=eps) for row in full.tolist()])
-    return values(obj.kind, inst.pow_submatrix(ext), full)
+    return values(obj.kind, dq, full)
 
 
 def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
@@ -166,11 +164,13 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
 
     best: Solution | None = None
     for s, z0, decomp, outliers, choices, total in plan:
+        ext = list(decomp.centers) + outliers.tolist()
+        dq = inst.pow_submatrix(ext)
         # Called through the module global, so a wrapper installed on
         # ``ptas.enumerate_compositions`` sees every block.
         best_rounded, best_counts = -np.inf, None
         for counts in enumerate_compositions(choices, total):
-            vals = _rounded_values(inst, obj, decomp.centers, outliers, counts, eps)
+            vals = _rounded_values(inst, obj, ext, dq, counts, eps)
             i = int(vals.argmax())
             if best_counts is None or vals[i] > best_rounded:
                 best_rounded, best_counts = vals[i], counts[i]

@@ -1,12 +1,14 @@
 """Brute-force oracle and greedy clique baseline, plus the ball structure of optima."""
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import divmax as dm
 from divmax.baselines import brute_force_opt, greedy_clique
-from divmax.diversity import term_count
+from divmax.diversity import batch_evaluate, term_count
 from divmax.errors import EnumerationCapError
 from divmax.metric import tol_leq
 from divmax.ptas import OUTLIER_RADIUS_COEFF
@@ -67,12 +69,73 @@ def test_brute_caps():
         brute_force_opt(big, dm.Objective("bipartition"), 18)
 
 
-def test_brute_thread_count_does_not_change_result():
-    # C(22, 6) = 74613 spans two evaluation chunks
-    inst = dm.gen_uniform(22, 2, seed=8)
-    a = brute_force_opt(inst, dm.Objective("clique"), 6, threads=1)
-    b = brute_force_opt(inst, dm.Objective("clique"), 6, threads=4)
-    assert a.subset == b.subset and a.value == b.value
+def reference_opt(inst, kind, k):
+    """Every k-subset scored by batch_evaluate; the first maximum wins."""
+    rows = np.array(list(combinations(range(inst.n), k)), dtype=np.int64)
+    vals = batch_evaluate(kind, inst.pow_matrix(), rows)
+    i = int(vals.argmax())
+    return tuple(int(x) for x in rows[i]), float(vals[i])
+
+
+def graph12(n, seed):
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.uniform(size=(n, n)) < 0.5, 1)
+    return dm.gen_graph_12metric(adj | adj.T)
+
+
+def tie_heavy(family, seed):
+    rng = np.random.default_rng(seed)
+    if family == "graph12":
+        return graph12(8 + seed, seed)
+    if family == "grid-l1":  # small integer coordinates: many equal distances
+        return dm.MetricInstance.from_points(rng.integers(0, 3, size=(8 + seed, 2)), norm="l1")
+    if family == "coincident":
+        return dm.MetricInstance.from_points(np.ones((7 + seed, 2)), q=2.0)
+    # nonnegative but neither symmetric nor zero on the diagonal: no screen
+    return dm.MetricInstance.from_matrix(rng.integers(0, 4, size=(7 + seed, 7 + seed)))
+
+
+@pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))
+@pytest.mark.parametrize("family", ("graph12", "grid-l1", "coincident", "asymmetric"))
+def test_brute_matches_reference_on_ties(family, kind):
+    for seed in range(3):
+        inst = tie_heavy(family, seed)
+        for k in range(2, inst.n + 1, 2 if kind == "bipartition" else 1):
+            sol = brute_force_opt(inst, dm.Objective(kind, inst.q), k)
+            subset, value = reference_opt(inst, kind, k)
+            assert (sol.subset, sol.value.hex()) == (subset, value.hex()), (seed, k)
+            assert sol.meta["subsets"] == math.comb(inst.n, k)
+            if family in ("coincident", "asymmetric"):  # every subset ties, or no screen
+                assert sol.meta["rescored"] == math.comb(inst.n, k)
+
+
+@pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))
+def test_brute_matches_reference_across_blocks(kind):
+    # C(22, 6) = 74613 subsets span seven screening blocks.  Uniform distances
+    # leave one subset to rescore; graph12 and coincident points tie across
+    # blocks, and the first maximum must win.
+    coincident = dm.MetricInstance.from_points(np.zeros((22, 2)))
+    for inst, most in ((dm.gen_uniform(22, 2, seed=8), 1), (graph12(22, 5), 200),
+                       (coincident, 74613)):
+        sol = brute_force_opt(inst, dm.Objective(kind), 6)
+        subset, value = reference_opt(inst, kind, 6)
+        assert (sol.subset, sol.value.hex()) == (subset, value.hex())
+        assert sol.meta["subsets"] == 74613 and 1 <= sol.meta["rescored"] <= most
+
+
+def test_brute_memory_does_not_grow_with_subset_count():
+    # C(26, 8) = 1562275 subsets: as one int64 row array with its k x k
+    # gathers they took 119 MB of traced memory
+    inst = dm.gen_uniform(26, 2, seed=1)
+    inst.pow_matrix()
+    tracemalloc.start()
+    try:
+        sol = brute_force_opt(inst, dm.Objective("clique"), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.meta["subsets"] == 1562275
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))

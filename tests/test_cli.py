@@ -80,6 +80,21 @@ def test_solve_ptas_guesses_line(capsys, tmp_path):
     assert "repeats" not in line and "dominated" not in line and "scored" not in line
 
 
+def test_solve_brute_force_line(capsys, tmp_path):
+    path = str(tmp_path / "u.txt")
+    assert cli.main(["gen", "uniform", "--n", "12", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    opt = dm.brute_force_opt(dm.load_instance(path), dm.Objective("clique"), 4)
+    want = f"# brute force: 495 subsets, {opt.meta['rescored']} rescored"
+    solve = ["solve", "--in", path, "--objective", "clique", "--k", "4"]
+    for algo in (["brute"], ["ptas", "--eps", "0.3", "--oracle"], ["greedy"]):
+        code, out, _ = run(capsys, solve + ["--algo"] + algo)
+        assert code == 0
+        assert (want in out.splitlines()) == (algo != ["greedy"])
+        # the counts stay off the byte-stable RESULT line
+        assert "subsets" not in result_line(out) and "rescored" not in result_line(out)
+
+
 def test_solve_fast_clique_path(capsys, square_file):
     code, out, _ = run(capsys, ["solve", "--in", square_file, "--objective", "clique",
                                 "--k", "3", "--algo", "fast-clique", "--eps", "0.1"])
@@ -156,8 +171,7 @@ def test_solve_machine_line_is_byte_stable(capsys, tmp_path):
     code, out2, _ = run(capsys, argv)
     assert code == 0
     assert result_line(out1) == result_line(out2)
-    # C(40, 4) = 91390 spans several evaluation chunks, so the worker count
-    # exercises the threaded path without touching the RESULT line
+    # the thread count is shown on a '#' line and leaves the RESULT line alone
     code, out8, _ = run(capsys, argv[:-1] + ["8"])
     assert code == 0
     assert result_line(out8) == result_line(out1)

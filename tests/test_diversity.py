@@ -128,6 +128,13 @@ def test_evaluate_dispatch(square):
         dm.evaluate(square, dm.Objective("clique", 2.0), range(4))
 
 
+@pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))
+def test_evaluate_reads_an_iterator_once(kind):
+    inst = dm.gen_uniform(10, 2, seed=1)
+    obj = dm.Objective(kind)
+    assert dm.evaluate(inst, obj, iter([0, 1, 2, 3])) == dm.evaluate(inst, obj, [0, 1, 2, 3])
+
+
 def test_evaluate_large_bipartition_needs_eps():
     inst = dm.gen_uniform(18, 2, seed=4)
     obj = dm.Objective("bipartition")

@@ -245,6 +245,30 @@ def test_solve_budget_is_the_deduplicated_count():
     assert (again.subset, again.value, again.meta) == (sol.subset, sol.value, sol.meta)
 
 
+def test_solve_fetches_each_scored_distance_block_once():
+    # C(20, 6) = 38760 rows take two enumeration blocks on a singleton guess;
+    # every block of a guess is scored on the one d^q block fetched for it
+    inst = dm.gen_uniform(20, 2, seed=2)
+    fetched, scored_on = [], []
+    pow_submatrix, values = dm.MetricInstance.pow_submatrix, ptas.values
+
+    def fetch(self, *args):
+        fetched.append(pow_submatrix(self, *args))
+        return fetched[-1]
+
+    def score(kind, dq, counts):
+        scored_on.append(dq)
+        return values(kind, dq, counts)
+
+    with mock.patch.object(dm.MetricInstance, "pow_submatrix", fetch), \
+            mock.patch.object(ptas, "values", score):
+        sol = solve(inst, dm.Objective("clique"), 6, 0.5)
+    blocks = {id(dq) for dq in scored_on}  # all kept alive, so ids are distinct
+    assert len(scored_on) > sol.meta["scored"]
+    assert len(blocks) == sol.meta["scored"]
+    assert blocks <= {id(dq) for dq in fetched}
+
+
 def _spaced(seed: int, n: int, gap: float) -> dm.MetricInstance:
     rng = np.random.default_rng(seed)
     pts: list[np.ndarray] = []
