@@ -19,14 +19,13 @@ def main() -> int:
     ap.add_argument("--results", default="results", help="output directory")
     ap.add_argument("--fixtures", help="instance directory for the ratios suite")
     ap.add_argument("--eps", type=float, default=0.3)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     results = pathlib.Path(args.results)
     results.mkdir(parents=True, exist_ok=True)
 
     ratios_argv = ["bench", "--suite", "ratios",
                    "--out", str(results / "ratios.tsv"),
-                   "--eps", str(args.eps), "--threads", str(args.threads)]
+                   "--eps", str(args.eps)]
     if args.fixtures:
         ratios_argv += ["--fixtures", args.fixtures]
     rc = divmax_main(ratios_argv)
@@ -34,8 +33,7 @@ def main() -> int:
         return rc
 
     return divmax_main(["bench", "--suite", "scaling",
-                        "--out", str(results / "scaling.tsv"),
-                        "--threads", str(args.threads)])
+                        "--out", str(results / "scaling.tsv")])
 
 
 if __name__ == "__main__":

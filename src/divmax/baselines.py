@@ -108,11 +108,12 @@ def greedy_clique(inst: MetricInstance, k: int) -> Solution:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={inst.n}")
     q = inst.q
     a = int(inst.dists_from(0).argmax())
-    b = int(inst.dists_from(a).argmax())
+    da = inst.dists_from(a)
+    b = int(da.argmax())
     if a == b:  # all points coincide with point 0
         a, b = 0, 1
+        da = inst.dists_from(0)
     chosen = [min(a, b), max(a, b)]
-    da = inst.dists_from(a)
     db = inst.dists_from(b)
     score = (da if q == 1.0 else da ** q) + (db if q == 1.0 else db ** q)
     taken = np.zeros(inst.n, dtype=bool)
@@ -122,8 +123,9 @@ def greedy_clique(inst: MetricInstance, k: int) -> Solution:
         u = int(masked.argmax())
         chosen.append(u)
         taken[u] = True
-        du = inst.dists_from(u)
-        score += du if q == 1.0 else du ** q
+        if len(chosen) < k:  # the last pick's row would go unread
+            du = inst.dists_from(u)
+            score += du if q == 1.0 else du ** q
     subset = tuple(sorted(chosen))
     return Solution(subset, clique_value(inst, subset), "greedy")
 

@@ -41,17 +41,106 @@ class CellDecomposition:
             assert (inst.dists_from(c, centers[j + 1:]) > center_allowance[j + 1:]).all(), c
 
 
+# Relative margin added to the bin width, far above both the REL_TOL slack of
+# tol_leq and the rounding of first-coordinate differences.
+BIN_MARGIN = 1e-6
+# Below this many points a scan of every unassigned point costs less than the
+# sweep's sort and its extra array operations per center.
+SWEEP_MIN_POINTS = 256
+
+
+def _bins(x: np.ndarray, reach: float) -> np.ndarray:
+    """Bin of each first coordinate in ``x``: any two points within ``reach``
+    of each other, as ``tol_leq`` judges their distance, land in equal or
+    adjacent bins.
+
+    Bins are at least ``2**-24`` of the coordinate span wide, so the rounding
+    of ``(x - min) / width`` stays far below the margin, and at least
+    ``2**-500``, so the squared gaps an l2 distance sums never underflow below
+    the gap between bins.  An infinite reach puts every point in one bin.
+    """
+    low = x.min()
+    width = max(reach * (1.0 + BIN_MARGIN), float(x.max() - low) * 2.0 ** -24, 2.0 ** -500)
+    if width == np.inf:
+        return np.zeros(x.size, dtype=np.int64)
+    return ((x - low) / width).astype(np.int64)
+
+
+def _next_free(free: np.ndarray, p: int) -> int:
+    """First position at or after ``p`` where ``free`` is set, else its size;
+    scanned in doubling chunks."""
+    if p < free.size and free[p]:
+        return p
+    step = 4096
+    while p < free.size:
+        i = int(free[p:p + step].argmax())
+        if free[p + i]:
+            return p + i
+        p += step
+        step *= 2
+    return free.size
+
+
 def _greedy(inst: MetricInstance, order: np.ndarray,
             allowance: np.ndarray) -> CellDecomposition:
+    """The greedy decomposition of ``order``, swept by first coordinate.
+
+    Centers are taken in index order, as the first unassigned position.  In
+    l1, l2 and linf, ``|x_0 - y_0| <= d(x, y)``, so a center can only absorb
+    points whose first coordinate lies within the largest allowance of its
+    own.  The points are sorted once into bins that wide, and each center
+    tests only the unassigned points of its own bin and the two adjacent
+    ones, with the same ``tol_leq`` on the same distances as a scan of every
+    unassigned point.  Once more than half of the swept points are assigned,
+    they are dropped from the sweep.  A matrix instance has no coordinates to
+    sweep, so each of its centers scans every unassigned point, as do the
+    centers of fewer than ``SWEEP_MIN_POINTS`` points.
+    """
+    n = order.size
     centers: list[int] = []
-    label = np.empty(order.shape, dtype=np.int64)
-    remaining = np.arange(order.size)  # positions into order
-    while remaining.size:
-        c = int(order[remaining[0]])
-        taken = tol_leq(inst.dists_from(c, order[remaining]), allowance[remaining])
-        label[remaining[taken]] = len(centers)
-        centers.append(c)
-        remaining = remaining[~taken]
+    label = np.empty(n, dtype=np.int64)
+    if inst.points is None or n < SWEEP_MIN_POINTS:
+        remaining = np.arange(n)  # unassigned positions, ascending
+        while remaining.size:
+            c = int(order[remaining[0]])
+            taken = tol_leq(inst.dists_from(c, order[remaining]), allowance[remaining])
+            label[remaining[taken]] = len(centers)
+            centers.append(c)
+            remaining = remaining[~taken]
+        return CellDecomposition(centers, order, label, allowance)
+
+    reach = float(allowance.max())
+    if max(inst.points.max(), -inst.points.min()) >= 2.0 ** 500:
+        # a distance may overflow to inf, which tol_leq admits at any radius
+        reach = np.inf
+    key = _bins(inst.points[order, 0], reach)
+    perm = np.argsort(key, kind="stable")  # sweep index -> position
+    key, allow = key[perm], allowance[perm]
+    swept = MetricInstance(n=n, q=inst.q, points=inst.points[order[perm]], norm=inst.norm)
+    rank = np.empty(n, dtype=np.int64)  # position -> sweep index
+    rank[perm] = np.arange(n)
+    free = np.ones(n, dtype=bool)  # by position, to find the next center
+    swept_free = np.ones(n, dtype=bool)
+    swept_taken = 0
+    p = -1
+    while (p := _next_free(free, p + 1)) < n:
+        if 2 * swept_taken > perm.size:
+            perm, key, allow = perm[swept_free], key[swept_free], allow[swept_free]
+            swept = MetricInstance(n=perm.size, q=inst.q, points=swept.points[swept_free],
+                                   norm=inst.norm)
+            rank[perm] = np.arange(perm.size)
+            swept_free = np.ones(perm.size, dtype=bool)
+            swept_taken = 0
+        s = int(rank[p])
+        a = int(key.searchsorted(key[s] - 1))
+        e = int(key.searchsorted(key[s] + 1, side="right"))
+        take = tol_leq(swept.dists_from(s, slice(a, e)), allow[a:e]) & swept_free[a:e]
+        swept_free[a:e][take] = False
+        hit = perm[a:e][take]
+        swept_taken += hit.size
+        free[hit] = False
+        label[hit] = len(centers)
+        centers.append(int(order[p]))
     return CellDecomposition(centers, order, label, allowance)
 
 
@@ -65,7 +154,7 @@ def _subset_order(inst: MetricInstance, subset) -> np.ndarray:
 
 def decompose_fixed(inst: MetricInstance, subset, delta: float) -> CellDecomposition:
     """Greedy decomposition where every cell admits the constant radius ``delta``."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"cell radius must be nonnegative, got {delta}")
     order = _subset_order(inst, subset)
     return _greedy(inst, order, np.full(order.shape, float(delta)))
@@ -78,9 +167,9 @@ def decompose_variable(inst: MetricInstance, subset, z: int, base: float,
     Point v may join a cell whose center is within
     ``delta * max(base, d(v, z) / 2)`` of it.
     """
-    if base <= 0:
+    if not base > 0:
         raise ValueError(f"base radius must be positive, got {base}")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     order = _subset_order(inst, subset)
     if not (order == int(z)).any():

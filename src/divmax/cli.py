@@ -141,7 +141,6 @@ def build_parser() -> _Parser:
     pb.add_argument("--out", required=True)
     pb.add_argument("--fixtures", help="directory of instance files for the ratios suite")
     pb.add_argument("--eps", type=float, default=0.3)
-    pb.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     return p
 
@@ -291,20 +290,24 @@ def cmd_bench(args) -> int:
 def _bench_scaling(args) -> int:
     ns = [10_000, 20_000, 40_000, 80_000]
     k, eps = 8, 0.5
-    rows = ["n\tcells\tcandidates\tcomplete\ttime_ms\tratio_to_prev"]
-    prev = None
-    for i, n in enumerate(ns):
-        inst = _scaling_instance(n, seed=1234 + i)
-        t0 = time.perf_counter()
-        sol = solve_fast(inst, k, eps)
-        ms = (time.perf_counter() - t0) * 1000.0
-        ratio = "" if prev is None else f"{ms / prev:.2f}"
-        prev = ms
-        rows.append(f"{n}\t{sol.meta['cells']}\t{sol.meta['candidates']}\t"
-                    f"{sol.meta['search_complete']}\t{ms:.1f}\t{ratio}")
+    layouts = (("corners", _scaling_instance),
+               ("uniform", lambda n, seed: gen_uniform(n, 2, seed)))
+    rows = ["layout\tn\tcells\tcandidates\tcomplete\ttime_ms\tratio_to_prev"]
+    for layout, make in layouts:
+        prev = None
+        for i, n in enumerate(ns):
+            inst = make(n, seed=1234 + i)
+            t0 = time.perf_counter()
+            sol = solve_fast(inst, k, eps)
+            ms = (time.perf_counter() - t0) * 1000.0
+            ratio = "" if prev is None else f"{ms / prev:.2f}"
+            prev = ms
+            rows.append(f"{layout}\t{n}\t{sol.meta['cells']}\t{sol.meta['candidates']}\t"
+                        f"{sol.meta['search_complete']}\t{ms:.1f}\t{ratio}")
     body = "\n".join(rows) + "\n"
     with open(args.out, "w") as fh:
-        fh.write(f"# fast-clique scaling, k={k} eps={eps}, doubling n; "
+        fh.write(f"# fast-clique scaling, k={k} eps={eps}, doubling n; four corner "
+                 "clusters (4 cells) and uniform points in the unit square; "
                  "soft gate: ratios stay near 2\n")
         fh.write(body)
     print(f"# wrote {args.out}")

@@ -55,12 +55,13 @@ def multiplicity_ladder(cap: int, eps: float) -> list[int]:
 
 
 def find_center(inst: MetricInstance, decomp: CellDecomposition, radius: float,
-                k: int) -> int:
-    """First cell center whose ball of ``radius`` excludes fewer than k/2 points."""
+                k: int) -> tuple[int, np.ndarray]:
+    """First cell center whose ball of ``radius`` excludes fewer than k/2
+    points, with its distances to every point."""
     for c in decomp.centers:
-        excluded = int((~tol_leq(inst.dists_from(c), radius)).sum())
-        if excluded < k / 2.0:
-            return c
+        row = inst.dists_from(c)
+        if int((~tol_leq(row, radius)).sum()) < k / 2.0:
+            return c, row
     raise RuntimeError(
         "no cell center excludes fewer than k/2 points; the scale estimate is off")
 
@@ -121,9 +122,9 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
                               "cells": 0, "greedy_floor_used": True})
 
     decomp = decompose_fixed(inst, None, (eps / CELL_FRACTION) * delta_prime)
-    z0p = find_center(inst, decomp, CENTER_BALL_COEFF * delta_prime, k)
+    z0p, row = find_center(inst, decomp, CENTER_BALL_COEFF * delta_prime, k)
 
-    near = tol_leq(inst.dists_from(z0p), KEEP_BALL_COEFF * delta_prime)
+    near = tol_leq(row, KEEP_BALL_COEFF * delta_prime)
     # a cell is searched when any of its members lies in the keep ball
     inside = np.bincount(decomp.label, weights=near[decomp.points]) > 0
     sizes = np.bincount(decomp.label)

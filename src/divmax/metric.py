@@ -69,6 +69,7 @@ class MetricInstance:
             raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
         if not q >= 1.0:
             raise ValueError(f"exponent q must be >= 1, got {q}")
+        _check_finite(pts, "coordinate")
         return cls(n=pts.shape[0], q=float(q), points=pts, norm=norm)
 
     @classmethod
@@ -80,6 +81,7 @@ class MetricInstance:
             raise ValueError("need at least 2 points")
         if not q >= 1.0:
             raise ValueError(f"exponent q must be >= 1, got {q}")
+        _check_finite(m, "distance")
         if validate:
             _validate_matrix(m)
         return cls(n=m.shape[0], q=float(q), matrix=m)
@@ -110,13 +112,18 @@ class MetricInstance:
         return d if self.q == 1.0 else d ** self.q
 
     def dists_from(self, u: int, targets=None) -> np.ndarray:
-        """Plain (unpowered) distances from ``u`` to ``targets`` (default: all points)."""
+        """Plain (unpowered) distances from ``u`` to ``targets``: all points by
+        default, else an index array or a ``slice`` of indices, which reads
+        its block without a gather."""
         self._check_index(u)
+        if targets is None:
+            targets = slice(None)
+        elif not isinstance(targets, slice):
+            targets = np.asarray(targets, dtype=np.int64)
         if self.matrix is not None:
-            row = self.matrix[u]
-            return row.copy() if targets is None else row[np.asarray(targets, dtype=np.int64)]
-        pts = self.points if targets is None else self.points[np.asarray(targets, dtype=np.int64)]
-        return _norm_of(pts - self.points[u], self.norm)
+            row = self.matrix[u][targets]
+            return row.copy() if isinstance(targets, slice) else row
+        return _norm_of(self.points[targets] - self.points[u], self.norm)
 
     def pow_submatrix(self, rows, cols=None) -> np.ndarray:
         """q-th-power distances from ``rows`` to ``cols`` (default: ``rows``),
@@ -134,6 +141,21 @@ class MetricInstance:
         if self._pow is None:
             self._pow = self.pow_submatrix(np.arange(self.n))
         return self._pow
+
+
+def _first_non_finite(a: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first non-finite entry of a 2-d array, or None."""
+    # min and max propagate nan, and need no array as large as ``a``
+    if not a.size or (np.isfinite(a.min()) and np.isfinite(a.max())):
+        return None
+    i, j = np.unravel_index(int((~np.isfinite(a)).argmax()), a.shape)
+    return int(i), int(j)
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    at = _first_non_finite(a)
+    if at is not None:
+        raise ValueError(f"{what} values must be finite, got {float(a[at])!r} at {at}")
 
 
 def check_indices(inst: MetricInstance, idx) -> None:
@@ -203,14 +225,15 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
         points <D> <n> <norm>      followed by n lines of D coordinates
         matrix <n>                 followed by n lines of n distances
 
-    Values are separated by whitespace.  Each is a decimal or exponent float
-    in ASCII (``1``, ``-0.5``, ``2.5e-300``), ``inf``/``infinity`` or
-    ``nan``, case-insensitive and optionally signed; underscores and
-    non-ASCII digits are rejected.  Blank lines may follow the last row and
-    nowhere else.  The body is parsed in one ``numpy.loadtxt`` call; only
-    when that fails are the lines searched for the first bad one, whose
-    number the ``InstanceParseError`` carries.  The exponent q is not stored
-    in the file; it is supplied by the caller.
+    Values are separated by whitespace.  Each is a finite decimal or
+    exponent float in ASCII (``1``, ``-0.5``, ``2.5e-300``), optionally
+    signed; ``inf``, ``nan``, underscores and non-ASCII digits are rejected.
+    Blank lines may follow the last row and nowhere else.  The body is parsed
+    in one ``numpy.loadtxt`` call; only when that fails are the lines
+    searched for the first one that does not parse, whose number the
+    ``InstanceParseError`` carries.  A body that parses but holds a
+    non-finite value is refused with the number of its first such line.  The
+    exponent q is not stored in the file; it is supplied by the caller.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -267,6 +290,10 @@ def _read_rows(raw: list[str], n: int, width: int, what: str) -> np.ndarray:
             f"line {len(raw)}: expected {n} {what} rows, found {len(body)}")
     rows = _parse_rows(body, width)
     if rows is not None:
+        at = _first_non_finite(rows)
+        if at is not None:
+            raise InstanceParseError(f"line {at[0] + 2}: {what} values must be finite, "
+                                     f"got {body[at[0]].split()[at[1]]!r}")
         return rows
     # Bisect for the first bad line: body[:lo] parses and body[lo:hi] holds
     # a bad line, so at most n lines are parsed again in all.

@@ -183,6 +183,33 @@ def test_greedy_exact_pair_beats_double_scan():
     assert exact.value > scan.value
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_reads_one_row_per_pick(monkeypatch, seed, q):
+    # rows of point 0, the double scan's far pair, then each pick but the last
+    inst = dm.gen_uniform(60, 3, seed=seed, q=q)
+    rows = []
+    dists_from = dm.MetricInstance.dists_from
+
+    def spy(self, u, targets=None):
+        rows.append(u)
+        return dists_from(self, u, targets)
+
+    monkeypatch.setattr(dm.MetricInstance, "dists_from", spy)
+    for k in (2, 3, 8):
+        rows.clear()
+        got = greedy_clique(inst, k).subset
+        assert len(rows) == max(k, 3)
+        # the same picks as scoring every chosen point's full row at each step
+        a = int(inst.dists_from(0).argmax())
+        chosen = [a, int(inst.dists_from(a).argmax())]
+        while len(chosen) < k:
+            score = sum(inst.dists_from(c) ** q for c in chosen)
+            score[chosen] = -np.inf
+            chosen.append(int(score.argmax()))
+        assert got == tuple(sorted(chosen))
+
+
 def test_greedy_validation(square):
     with pytest.raises(ValueError, match="2 <= k <= n"):
         greedy_clique(square, 1)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
+from divmax import cells
 from divmax.cells import decompose_fixed, decompose_variable, lift
 from divmax.metric import tol_leq
 
@@ -118,29 +119,97 @@ def assert_same_decomposition(dec, order, ref):
     assert dec.allowance.tolist() == allowance
 
 
-@pytest.mark.parametrize("layout", ["uniform", "clustered"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_decompositions_match_per_point_loop(layout, seed):
+def layout_case(layout, seed):
+    """An instance and fixed radii for one layout.  Integer grids put many
+    distances exactly on the radius; scaled layouts have squared gaps that
+    underflow (1e-200) or overflow to inf (1e200), or a large common offset."""
     rng = np.random.default_rng(seed)
     if layout == "uniform":
-        inst = dm.gen_uniform(300, 2, seed)
-    else:
-        inst = dm.gen_clustered(280, 0.05, rng.uniform(-1, 1, (20, 2)).tolist(), seed)
+        return dm.gen_uniform(300, 2, seed), (0.02, 0.1, 0.4)
+    if layout == "clustered":
+        return dm.gen_clustered(280, 0.05, rng.uniform(-1, 1, (20, 2)).tolist(), seed), (0.02, 0.1, 0.4)
+    if layout.startswith("grid"):
+        _, norm, dim = layout.split("-")
+        pts = rng.integers(0, 5, size=(150, int(dim))).astype(float)
+        return dm.MetricInstance.from_points(pts, norm=norm), (0.0, 1.0, 2.0, 2 ** 0.5, 5 ** 0.5)
+    if layout == "coincident":
+        pts = rng.random((12, 3))[rng.integers(0, 12, 90)]
+        return dm.MetricInstance.from_points(pts), (0.0, 0.3)
+    if layout.startswith("scaled"):
+        scale = float(layout.split("-", 1)[1])
+        return dm.MetricInstance.from_points(rng.random((120, 2)) * scale), (0.0, 0.05 * scale, 0.3 * scale)
+    if layout == "offset":
+        return dm.MetricInstance.from_points(rng.random((120, 2)) + 1e12), (0.0, 0.05, 0.3)
+    adj = rng.uniform(size=(60, 60)) < 0.4
+    adj = np.triu(adj, 1)
+    return dm.gen_graph_12metric(adj | adj.T), (0.0, 0.5, 1.0, 2.0)
+
+
+LAYOUTS = (["uniform", "clustered", "coincident", "scaled-1e-200", "scaled-1e200", "offset",
+            "graph12"]
+           + [f"grid-{norm}-{dim}" for norm in ("l1", "l2", "linf") for dim in range(1, 6)])
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompositions_match_per_point_loop(layout, seed, monkeypatch):
+    monkeypatch.setattr(cells, "SWEEP_MIN_POINTS", 2)  # sweep these small sets too
+    inst, radii = layout_case(layout, seed)
+    rng = np.random.default_rng(seed)
     n = inst.n
     sub = sorted(int(i) for i in rng.choice(n, size=n // 2, replace=False))
     for subset, order in ((None, list(range(n))), (sub, sub)):
-        for delta in (0.02, 0.1, 0.4):
+        for delta in radii:
             dec = decompose_fixed(inst, subset, delta)
             assert_same_decomposition(dec, order,
                                       reference_greedy(inst, order, [delta] * len(order)))
-            dec.check(inst)
+            if layout != "scaled-1e200":  # distances overflow to inf there
+                dec.check(inst)
         z = order[len(order) // 3]
         dz = inst.dists_from(z)
-        for delta in (0.05, 0.3):
-            dec = decompose_variable(inst, subset, z, 0.02, delta)
-            allow = [delta * max(0.02, float(dz[v]) / 2.0) for v in order]
+        base = radii[1]
+        for delta in (0.05, 0.3, 1.0):
+            dec = decompose_variable(inst, subset, z, base, delta)
+            allow = [delta * max(base, float(dz[v]) / 2.0) for v in order]
             assert_same_decomposition(dec, order, reference_greedy(inst, order, allow))
-            dec.check(inst)
+
+
+def test_sweep_reaches_points_admitted_by_the_tolerance(monkeypatch):
+    # the center sits 1e-10 below a bin edge at width 1, and the third point
+    # lies 1 + 5e-10 from it, inside tol_leq's slack but beyond the next bin
+    inst = line_inst(1.0 - 1e-10, 2.0 + 4e-10, 0.0)
+    monkeypatch.setattr(cells, "SWEEP_MIN_POINTS", 2)
+    dec = decompose_fixed(inst, None, 1.0)
+    assert dec.centers == [0] and dec.label.tolist() == [0, 0, 0]
+
+
+def test_sweep_scans_a_small_share_of_the_unassigned_points(monkeypatch):
+    # a scan of every unassigned point would read, for each center, all the
+    # points of its own and all later cells
+    inst = dm.gen_uniform(20000, 2, seed=0)
+    read = []
+    dists_from = dm.MetricInstance.dists_from
+
+    def spy(self, u, targets=None):
+        d = dists_from(self, u, targets)
+        read.append(d.size)
+        return d
+
+    monkeypatch.setattr(dm.MetricInstance, "dists_from", spy)
+    dec = decompose_fixed(inst, None, 0.02)
+    sizes = np.bincount(dec.label)
+    rescans = int((inst.n - np.cumsum(sizes) + sizes).sum())
+    assert len(dec.centers) > 100 and len(read) == len(dec.centers)
+    assert sum(read) < 0.1 * rescans
+
+
+def test_radius_must_be_a_number(square):
+    with pytest.raises(ValueError, match="radius"):
+        decompose_fixed(square, range(4), float("nan"))
+    with pytest.raises(ValueError, match="base"):
+        decompose_variable(square, range(4), 0, float("nan"), 0.5)
+    with pytest.raises(ValueError, match="delta"):
+        decompose_variable(square, range(4), 0, 1.0, float("nan"))
 
 
 # ---------------------------------------------------------- variable radius

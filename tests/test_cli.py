@@ -210,6 +210,21 @@ def test_solve_runtime_errors(capsys, square_file, tmp_path):
     assert code == 2 and "even" in err
 
 
+@pytest.mark.parametrize("algo", ["fast-clique", "ptas", "greedy", "brute"])
+def test_solve_non_finite_input_exits_2(capsys, tmp_path, algo):
+    # a NaN coordinate used to hang fast-clique's decomposition and fail ptas
+    # with an AssertionError
+    for text, line in (("points 2 4 l2\n0 0\n1 nan\n2 2\n3 0\n", 3),
+                       ("points 2 4 l2\n0 0\n1 1\n2 2\ninf 0\n", 5),
+                       ("matrix 3\n0 1 2\n1 0 nan\n2 1 0\n", 3)):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, out, err = run(capsys, ["solve", "--in", str(bad), "--objective", "clique",
+                                      "--k", "2", "--algo", algo, "--eps", "0.3"])
+        assert code == 2 and "RESULT" not in out
+        assert f"error: line {line}: " in err and "must be finite" in err
+
+
 def test_solve_value_mismatch_exits_3(capsys, square_file, monkeypatch):
     def fake_solve(inst, obj, k, eps, **kw):
         return dm.Solution((0, 1), 999.0, "ptas")
@@ -286,6 +301,17 @@ def test_gen_bad_values_exit_2(capsys, tmp_path):
 
 # -------------------------------------------------------------------- bench
 
+def test_bench_scaling_has_corner_and_uniform_rows(capsys, tmp_path):
+    code, out, _ = run(capsys, ["bench", "--suite", "scaling", "--out",
+                                str(tmp_path / "s.tsv")])
+    assert code == 0
+    rows = [r.split("\t") for r in (tmp_path / "s.tsv").read_text().splitlines()[2:]]
+    assert [(r[0], int(r[1])) for r in rows] == [
+        (layout, n) for layout in ("corners", "uniform") for n in (10_000, 20_000, 40_000, 80_000)]
+    assert all(int(r[2]) == 4 for r in rows[:4])
+    assert all(int(r[2]) > 100 for r in rows[4:])  # many cells: the sweep does the work
+
+
 def test_bench_ratios_with_fixture_dir(capsys, tmp_path):
     fixdir = tmp_path / "fixtures"
     fixdir.mkdir()
@@ -318,3 +344,7 @@ def test_bench_unknown_suite_usage(capsys, tmp_path):
     code, _, err = run(capsys, ["bench", "--suite", "nope", "--out",
                                 str(tmp_path / "o.tsv")])
     assert code == 1
+    # no suite reads a thread count
+    code, _, err = run(capsys, ["bench", "--suite", "scaling", "--threads", "2",
+                                "--out", str(tmp_path / "o.tsv")])
+    assert code == 1 and "--threads" in err

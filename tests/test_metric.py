@@ -67,6 +67,14 @@ def test_construction_validation():
         dm.MetricInstance.from_points([0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError, match=r"coordinate values must be finite, got .* at \(1, 0\)"):
+        dm.MetricInstance.from_points([[0.0, 0.0], [bad, 1.0]])
+    with pytest.raises(ValueError, match=r"distance values must be finite, got .* at \(0, 1\)"):
+        dm.MetricInstance.from_matrix([[0.0, bad], [1.0, 0.0]])
+
+
 def test_with_q_shares_backend(square):
     q2 = square.with_q(2.0)
     assert q2.q == 2.0 and q2.points is square.points
@@ -254,6 +262,20 @@ def test_first_bad_line_is_reported_wherever_it_is(tmp_path, bad, message):
             path.write_text("points 2 37 l2\n" + "\n".join(body) + "\n")
             with pytest.raises(InstanceParseError, match=rf"^line {at + 2}: {message}$"):
                 dm.load_instance(path)
+
+
+@pytest.mark.parametrize("text,lineno,token", [
+    ("points 2 3 l2\n0 0\n1 nan\n2 2\n", 3, "nan"),
+    ("points 2 3 l2\n0 0\n1 1\n-Infinity 2\n", 4, "-Infinity"),
+    ("matrix 3\n0 1 2\n1 0 NaN\n2 1 0\n", 3, "NaN"),
+    ("matrix 2\n0 inf\ninf 0\n", 2, "inf"),
+])
+def test_non_finite_values_name_their_line(tmp_path, text, lineno, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(InstanceParseError,
+                       match=rf"^line {lineno}: \w+ values must be finite, got '{token}'$"):
+        dm.load_instance(path)
 
 
 def test_load_matches_per_token_float(tmp_path):
