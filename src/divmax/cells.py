@@ -45,7 +45,10 @@ class CellDecomposition:
 # tol_leq and the rounding of first-coordinate differences.
 BIN_MARGIN = 1e-6
 # Below this many points a scan of every unassigned point costs less than the
-# sweep's sort and its extra array operations per center.
+# sweep's sort and its extra array operations per center.  On uniform points
+# in the plane the sweep is 1.1-1.7x slower than the scan at every radius up
+# to 128 points, and first breaks even near 200-256 points, at radii that give
+# more than half as many cells as points.
 SWEEP_MIN_POINTS = 256
 
 

@@ -55,9 +55,14 @@ def multiplicity_ladder(cap: int, eps: float) -> list[int]:
 
 
 def find_center(inst: MetricInstance, decomp: CellDecomposition, radius: float,
-                k: int) -> tuple[int, np.ndarray]:
-    """First cell center whose ball of ``radius`` excludes fewer than k/2
-    points, with its distances to every point."""
+                k: int) -> int:
+    """First cell center whose ball of ``radius`` excludes fewer than k/2 points."""
+    return _find_center_row(inst, decomp, radius, k)[0]
+
+
+def _find_center_row(inst: MetricInstance, decomp: CellDecomposition, radius: float,
+                     k: int) -> tuple[int, np.ndarray]:
+    """:func:`find_center`, with the center's distances to every point."""
     for c in decomp.centers:
         row = inst.dists_from(c)
         if int((~tol_leq(row, radius)).sum()) < k / 2.0:
@@ -122,7 +127,7 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
                               "cells": 0, "greedy_floor_used": True})
 
     decomp = decompose_fixed(inst, None, (eps / CELL_FRACTION) * delta_prime)
-    z0p, row = find_center(inst, decomp, CENTER_BALL_COEFF * delta_prime, k)
+    z0p, row = _find_center_row(inst, decomp, CENTER_BALL_COEFF * delta_prime, k)
 
     near = tol_leq(row, KEEP_BALL_COEFF * delta_prime)
     # a cell is searched when any of its members lies in the keep ball

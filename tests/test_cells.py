@@ -120,29 +120,33 @@ def assert_same_decomposition(dec, order, ref):
 
 
 def layout_case(layout, seed):
-    """An instance and fixed radii for one layout.  Integer grids put many
-    distances exactly on the radius; scaled layouts have squared gaps that
-    underflow (1e-200) or overflow to inf (1e200), or a large common offset."""
+    """An instance, fixed radii and the generator its subset is drawn from,
+    for one layout.  Integer grids put many distances exactly on the radius;
+    scaled layouts have squared gaps that underflow (1e-200) or overflow to
+    inf (1e200), or a large common offset."""
     rng = np.random.default_rng(seed)
     if layout == "uniform":
-        return dm.gen_uniform(300, 2, seed), (0.02, 0.1, 0.4)
+        return dm.gen_uniform(300, 2, seed), (0.02, 0.1, 0.4), rng
     if layout == "clustered":
-        return dm.gen_clustered(280, 0.05, rng.uniform(-1, 1, (20, 2)).tolist(), seed), (0.02, 0.1, 0.4)
+        inst = dm.gen_clustered(280, 0.05, rng.uniform(-1, 1, (20, 2)).tolist(), seed)
+        return inst, (0.02, 0.1, 0.4), rng
     if layout.startswith("grid"):
         _, norm, dim = layout.split("-")
         pts = rng.integers(0, 5, size=(150, int(dim))).astype(float)
-        return dm.MetricInstance.from_points(pts, norm=norm), (0.0, 1.0, 2.0, 2 ** 0.5, 5 ** 0.5)
+        inst = dm.MetricInstance.from_points(pts, norm=norm)
+        return inst, (0.0, 1.0, 2.0, 2 ** 0.5, 5 ** 0.5), rng
     if layout == "coincident":
         pts = rng.random((12, 3))[rng.integers(0, 12, 90)]
-        return dm.MetricInstance.from_points(pts), (0.0, 0.3)
+        return dm.MetricInstance.from_points(pts), (0.0, 0.3), rng
     if layout.startswith("scaled"):
         scale = float(layout.split("-", 1)[1])
-        return dm.MetricInstance.from_points(rng.random((120, 2)) * scale), (0.0, 0.05 * scale, 0.3 * scale)
+        inst = dm.MetricInstance.from_points(rng.random((120, 2)) * scale)
+        return inst, (0.0, 0.05 * scale, 0.3 * scale), rng
     if layout == "offset":
-        return dm.MetricInstance.from_points(rng.random((120, 2)) + 1e12), (0.0, 0.05, 0.3)
+        return dm.MetricInstance.from_points(rng.random((120, 2)) + 1e12), (0.0, 0.05, 0.3), rng
     adj = rng.uniform(size=(60, 60)) < 0.4
     adj = np.triu(adj, 1)
-    return dm.gen_graph_12metric(adj | adj.T), (0.0, 0.5, 1.0, 2.0)
+    return dm.gen_graph_12metric(adj | adj.T), (0.0, 0.5, 1.0, 2.0), rng
 
 
 LAYOUTS = (["uniform", "clustered", "coincident", "scaled-1e-200", "scaled-1e200", "offset",
@@ -154,8 +158,7 @@ LAYOUTS = (["uniform", "clustered", "coincident", "scaled-1e-200", "scaled-1e200
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_decompositions_match_per_point_loop(layout, seed, monkeypatch):
     monkeypatch.setattr(cells, "SWEEP_MIN_POINTS", 2)  # sweep these small sets too
-    inst, radii = layout_case(layout, seed)
-    rng = np.random.default_rng(seed)
+    inst, radii, rng = layout_case(layout, seed)
     n = inst.n
     sub = sorted(int(i) for i in rng.choice(n, size=n // 2, replace=False))
     for subset, order in ((None, list(range(n))), (sub, sub)):
@@ -167,11 +170,13 @@ def test_decompositions_match_per_point_loop(layout, seed, monkeypatch):
                 dec.check(inst)
         z = order[len(order) // 3]
         dz = inst.dists_from(z)
-        base = radii[1]
-        for delta in (0.05, 0.3, 1.0):
-            dec = decompose_variable(inst, subset, z, base, delta)
-            allow = [delta * max(base, float(dz[v]) / 2.0) for v in order]
-            assert_same_decomposition(dec, order, reference_greedy(inst, order, allow))
+        for base in (0.02, radii[1]):
+            for delta in (0.05, 0.3, 1.0):
+                dec = decompose_variable(inst, subset, z, base, delta)
+                allow = [delta * max(base, float(dz[v]) / 2.0) for v in order]
+                assert_same_decomposition(dec, order, reference_greedy(inst, order, allow))
+                if layout != "scaled-1e200":
+                    dec.check(inst)
 
 
 def test_sweep_reaches_points_admitted_by_the_tolerance(monkeypatch):

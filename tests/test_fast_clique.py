@@ -88,9 +88,11 @@ def test_find_center_prefers_populous_side():
     pts = [[0.0 + 0.01 * i] for i in range(3)] + [[10.0 + 0.01 * i] for i in range(10)]
     inst = dm.MetricInstance.from_points(pts)
     decomp = decompose_fixed(inst, None, 0.05)
-    c, row = find_center(inst, decomp, 1.0, 8)
+    c = find_center(inst, decomp, 1.0, 8)
     assert c >= 3  # a center in the large cluster
-    assert row.tolist() == inst.dists_from(c).tolist()
+    # solve_fast reuses the distance row computed for the center it finds
+    c_row, row = fast_clique._find_center_row(inst, decomp, 1.0, 8)
+    assert c_row == c and row.tolist() == inst.dists_from(c).tolist()
 
 
 def test_find_center_balanced_clusters_fail():
