@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .diversity import (EXACT_BIPARTITION_CAP, Objective, balanced_split_masks,
-                        batch_evaluate, clique_value)
+                        batch_evaluate, evaluate)
 from .errors import EnumerationCapError
 from .metric import MetricInstance
 from .ptas import Solution
@@ -127,5 +127,5 @@ def greedy_clique(inst: MetricInstance, k: int) -> Solution:
             du = inst.dists_from(u)
             score += du if q == 1.0 else du ** q
     subset = tuple(sorted(chosen))
-    return Solution(subset, clique_value(inst, subset), "greedy")
+    return Solution(subset, evaluate(inst, Objective("clique", q), subset), "greedy")
 

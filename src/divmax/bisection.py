@@ -32,14 +32,9 @@ class BisectionResult:
     provenance: dict
 
 
-def star_center(inst: MetricInstance, T, q: float | None = None) -> tuple[int, float]:
-    """Center of the minimum-weight spanning star of the multiset T.
-
-    Ties go to the lowest point index.  ``q``, when given, must match the
-    instance exponent.
-    """
-    if q is not None and q != inst.q:
-        raise ValueError(f"requested exponent {q} != instance exponent {inst.q}")
+def star_center(inst: MetricInstance, T) -> tuple[int, float]:
+    """Center of the minimum-weight spanning star of the multiset T, and its
+    weight.  Ties go to the lowest point index."""
     elems = [int(t) for t in T]
     check_indices(inst, elems)
     if len(elems) < 2:
@@ -52,7 +47,7 @@ def star_center(inst: MetricInstance, T, q: float | None = None) -> tuple[int, f
     return support[i], float(weights[i])
 
 
-def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
+def min_bisection(inst: MetricInstance, T, eps: float,
                   *, budget: int = DEFAULT_BUDGET) -> BisectionResult:
     """Balanced bisection of the multiset T with value <= (1 + eps) * optimum.
 
@@ -60,8 +55,6 @@ def min_bisection(inst: MetricInstance, T, eps: float, q: float | None = None,
     is the exact cross weight of the returned split, so it always upper
     bounds the optimum.
     """
-    if q is not None and q != inst.q:
-        raise ValueError(f"requested exponent {q} != instance exponent {inst.q}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     elems = sorted(int(t) for t in T)

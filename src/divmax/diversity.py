@@ -9,6 +9,7 @@ For a k-subset T and exponent q:
 All three extend to multisets (a multiplicity per center) by treating each
 copy as a distinct point at pairwise distance zero from its siblings.
 
+``evaluate`` scores one subset or multiset, given as an index list.
 Batches of candidates come in two row forms over a d^q block ``dq``, and
 each has one evaluator.  Index rows (``batch_evaluate``) list a candidate's
 points as positions into ``dq``, repeats being coincident copies; the
@@ -30,10 +31,11 @@ from .metric import MetricInstance, check_indices
 
 OBJECTIVE_KINDS = ("clique", "star", "bipartition")
 
-# Largest subset for which the exact balanced-bipartition oracle will run.
+# Largest bipartition whose balanced splits are enumerated one by one.
 EXACT_BIPARTITION_CAP = 16
-# Largest number of distinct centers for which multiset bipartitions are
-# enumerated exactly; above this the approximation scheme takes over.
+# Largest number of distinct points on which a larger bipartition is still
+# enumerated exactly, by per-point left counts; above this the
+# approximation scheme takes over.
 MULTISET_SPLIT_CAP = 10
 
 
@@ -49,38 +51,6 @@ class Objective:
             raise ValueError(f"unknown objective {self.kind!r}; expected one of {OBJECTIVE_KINDS}")
         if not self.q >= 1.0:
             raise ValueError(f"exponent q must be >= 1, got {self.q}")
-
-
-def term_count(kind: str, k: int) -> int:
-    """Number of distance terms the objective aggregates; divides value into an average."""
-    if kind == "clique":
-        return k * (k - 1) // 2
-    if kind == "star":
-        return k - 1
-    if kind == "bipartition":
-        return (k * k) // 4
-    raise ValueError(f"unknown objective {kind!r}")
-
-
-def _as_index_array(inst: MetricInstance, subset, min_size: int = 2) -> np.ndarray:
-    idx = np.asarray(sorted(int(i) for i in subset), dtype=np.int64)
-    if idx.size < min_size:
-        raise ValueError(f"subset too small: need at least {min_size} points, got {idx.size}")
-    check_indices(inst, idx)
-    return idx
-
-
-def clique_value(inst: MetricInstance, subset) -> float:
-    idx = _as_index_array(inst, subset)
-    return float(inst.pow_submatrix(idx).sum()) / 2.0
-
-
-def star_value(inst: MetricInstance, subset) -> tuple[float, int]:
-    """Minimum spanning-star weight and its center (lowest index on ties)."""
-    idx = _as_index_array(inst, subset)
-    rows = inst.pow_submatrix(idx).sum(axis=1)
-    i = int(rows.argmin())
-    return float(rows[i]), int(idx[i])
 
 
 @lru_cache(maxsize=64)
@@ -102,118 +72,44 @@ def balanced_split_masks(k: int) -> np.ndarray:
     return np.array(rows)
 
 
-def bipartition_value_exact(inst: MetricInstance, subset) -> tuple[float, tuple[int, ...]]:
-    """Exact minimum balanced-bipartition weight by split enumeration.
-
-    Returns the value and the lexicographically smallest optimal left half.
-    Repetition in ``subset`` is allowed; copies behave as coincident points.
-    """
-    idx = np.asarray(sorted(int(i) for i in subset), dtype=np.int64)
-    check_indices(inst, idx)
-    k = idx.size
-    if k < 2 or k % 2:
-        raise ValueError(f"bipartition needs an even subset size >= 2, got {k}")
-    if k > EXACT_BIPARTITION_CAP:
-        raise EnumerationCapError(
-            f"exact bipartition supports subsets up to {EXACT_BIPARTITION_CAP}, got {k}")
-    d = inst.pow_submatrix(idx)
-    masks = balanced_split_masks(k)
-    vals = np.einsum("mi,ij,mj->m", masks, d, 1.0 - masks)
-    i = int(vals.argmin())
-    left = tuple(int(x) for x in idx[masks[i] > 0.5])
-    return float(vals[i]), left
-
-
 def evaluate(inst: MetricInstance, obj: Objective, subset, *, eps: float | None = None) -> float:
-    """Value of ``obj`` on ``subset``; the scalar shared by all three objectives.
+    """Value of ``obj`` on ``subset``, an index list in which a repeated index
+    is a coincident copy; the one scorer of a single subset or multiset.
 
-    Bipartitions larger than the exact cap need ``eps`` and are estimated by
-    the balanced-bisection scheme (an upper estimate within 1 + eps).
+    Clique, star, and bipartitions of at most ``EXACT_BIPARTITION_CAP``
+    elements score one ``batch_evaluate`` row.  A larger bipartition on at
+    most ``MULTISET_SPLIT_CAP`` distinct points enumerates the per-point left
+    counts exactly.  On more distinct points it needs ``eps`` and is estimated
+    by the balanced-bisection scheme (an upper estimate within 1 + eps).
     """
     if obj.q != inst.q:
         raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
-    if obj.kind == "clique":
-        return clique_value(inst, subset)
-    if obj.kind == "star":
-        return star_value(inst, subset)[0]
-    k = len(subset := list(subset))  # read once: it may be an iterator
-    if k <= EXACT_BIPARTITION_CAP:
-        return bipartition_value_exact(inst, subset)[0]
-    if eps is None:
-        raise EnumerationCapError(
-            f"bipartition of size {k} exceeds the exact cap {EXACT_BIPARTITION_CAP}; "
-            "pass eps to evaluate approximately")
-    from .bisection import min_bisection
-
-    return min_bisection(inst, subset, eps).value
-
-
-@dataclass(frozen=True)
-class MultiplicityVector:
-    """Distinct center indices with a nonnegative multiplicity each."""
-
-    centers: tuple[int, ...]
-    mult: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.centers) != len(self.mult):
-            raise ValueError("centers and mult must have equal length")
-        if len(set(self.centers)) != len(self.centers):
-            raise ValueError("centers must be distinct")
-        if any(m < 0 for m in self.mult):
-            raise ValueError("multiplicities must be nonnegative")
-
-    @property
-    def size(self) -> int:
-        return int(sum(self.mult))
-
-    def expand(self) -> list[int]:
-        """The multiset as an explicit index list, center order preserved."""
-        out: list[int] = []
-        for c, m in zip(self.centers, self.mult):
-            out.extend([c] * m)
-        return out
-
-
-def value_on_multiset(inst: MetricInstance, obj: Objective, mv: MultiplicityVector,
-                      *, eps: float | None = None) -> float:
-    """Objective value of the multiset described by ``mv``.
-
-    Bipartition uses exact per-center split enumeration while the number of
-    occupied centers is at most ``MULTISET_SPLIT_CAP``, and otherwise
-    delegates to the balanced-bisection scheme, which requires ``eps``.
-    """
-    if obj.q != inst.q:
-        raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
-    check_indices(inst, mv.centers)
-    centers = [c for c, m in zip(mv.centers, mv.mult) if m > 0]
-    mult = np.array([m for m in mv.mult if m > 0], dtype=np.float64)
-    total = int(mult.sum())
-    if total < 2:
-        raise ValueError(f"multiset too small: need at least 2 elements, got {total}")
-    if total == len(centers):
-        # all multiplicities are 1: this is a plain subset, and routing through
-        # the subset evaluators keeps the two code paths bit-identical
-        return evaluate(inst, obj, centers, eps=eps)
-    d = inst.pow_submatrix(centers)
-    if obj.kind != "bipartition":
-        return float(values(obj.kind, d, mult[None, :])[0])
-    if total % 2:
-        raise ValueError(f"bipartition needs an even multiset size, got {total}")
-    if len(centers) <= MULTISET_SPLIT_CAP:
-        # every per-center left count vector 0 <= l <= mult with sum(l) = total / 2
+    idx = np.asarray(sorted(int(i) for i in subset), dtype=np.int64)
+    k = idx.size
+    if k < 2:
+        raise ValueError(f"subset too small: need at least 2 points, got {k}")
+    check_indices(inst, idx)
+    if obj.kind == "bipartition" and k % 2:
+        raise ValueError(f"bipartition needs an even subset size, got {k}")
+    if obj.kind != "bipartition" or k <= EXACT_BIPARTITION_CAP:
+        return float(batch_evaluate(obj.kind, inst.pow_submatrix(idx), np.arange(k)[None, :])[0])
+    support, mult = np.unique(idx, return_counts=True)
+    if support.size <= MULTISET_SPLIT_CAP:
+        # every per-point left count vector 0 <= l <= mult with sum(l) = k / 2
+        d = inst.pow_submatrix(support)
         best = np.inf
-        for block in enumerate_compositions([range(int(m) + 1) for m in mult], total // 2):
+        for block in enumerate_compositions([range(m + 1) for m in mult.tolist()], k // 2):
             left = block.astype(np.float64)
             best = min(best, float(cross_values(d, left, mult - left).min()))
         return best
     if eps is None:
         raise EnumerationCapError(
-            f"{len(centers)} occupied centers exceed the split cap {MULTISET_SPLIT_CAP}; "
+            f"bipartition of {k} elements on {support.size} distinct points exceeds the "
+            f"exact caps ({EXACT_BIPARTITION_CAP} elements, {MULTISET_SPLIT_CAP} points); "
             "pass eps to evaluate approximately")
     from .bisection import min_bisection
 
-    return min_bisection(inst, mv.expand(), eps).value
+    return min_bisection(inst, idx.tolist(), eps).value
 
 
 def centroid_clique_identity(inst: MetricInstance, subset) -> tuple[float, float]:
@@ -226,7 +122,8 @@ def centroid_clique_identity(inst: MetricInstance, subset) -> tuple[float, float
         raise ValueError("centroid identity needs a coordinate backend with the l2 norm")
     if inst.q != 2.0:
         raise ValueError(f"centroid identity holds at q = 2, instance has q = {inst.q}")
-    idx = _as_index_array(inst, subset)
+    idx = np.asarray(sorted(int(i) for i in subset), dtype=np.int64)
+    value = evaluate(inst, Objective("clique", inst.q), idx)  # checks size and range
     pts = inst.points[idx]
     norms = np.sqrt((pts * pts).sum(axis=1))
     off = float(np.abs(norms - 1.0).max())
@@ -235,7 +132,7 @@ def centroid_clique_identity(inst: MetricInstance, subset) -> tuple[float, float
     k = idx.size
     z = pts.mean(axis=0)
     rhs = k * k * (1.0 - float(z @ z))
-    return clique_value(inst, idx), rhs
+    return value, rhs
 
 
 # Vectorized evaluators over batches of rows; see the module docstring.

@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import greedy_clique
 from .cells import CellDecomposition, decompose_fixed, lift
 from .compositions import count_compositions, enumerate_compositions, raise_to_total
-from .diversity import clique_value, values
+from .diversity import Objective, evaluate, values
 from .metric import REL_TOL, MetricInstance, tol_leq
 from .ptas import Solution
 
@@ -54,15 +54,10 @@ def multiplicity_ladder(cap: int, eps: float) -> list[int]:
     return vals
 
 
-def find_center(inst: MetricInstance, decomp: CellDecomposition, radius: float,
-                k: int) -> int:
-    """First cell center whose ball of ``radius`` excludes fewer than k/2 points."""
-    return _find_center_row(inst, decomp, radius, k)[0]
-
-
 def _find_center_row(inst: MetricInstance, decomp: CellDecomposition, radius: float,
                      k: int) -> tuple[int, np.ndarray]:
-    """:func:`find_center`, with the center's distances to every point."""
+    """First cell center whose ball of ``radius`` excludes fewer than k/2
+    points, with the center's distances to every point."""
     for c in decomp.centers:
         row = inst.dists_from(c)
         if int((~tol_leq(row, radius)).sum()) < k / 2.0:
@@ -153,7 +148,7 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     if not meta["search_complete"]:
         subset, meta["swaps"] = _local_search(inst, greedy.subset)
         if meta["swaps"]:
-            value = clique_value(inst, subset)
+            value = evaluate(inst, Objective("clique", inst.q), subset)
             meta["greedy_floor_used"] = False
         return Solution(subset, value, "fast-clique", guess=(z0p, delta_prime), meta=meta)
 
@@ -181,7 +176,7 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
         counts = sizes.copy()
         counts[inside] = best
         cand = tuple(lift(decomp.points, decomp.label, counts).tolist())
-        cand_value = clique_value(inst, cand)
+        cand_value = evaluate(inst, Objective("clique", inst.q), cand)
         if cand_value > value:
             subset, value = cand, cand_value
             meta["greedy_floor_used"] = False

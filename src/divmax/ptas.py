@@ -21,8 +21,7 @@ import numpy as np
 
 from .cells import decompose_fixed, lift
 from .compositions import count_compositions, enumerate_compositions
-from .diversity import (EXACT_BIPARTITION_CAP, MultiplicityVector, Objective,
-                        evaluate, value_on_multiset, values)
+from .diversity import EXACT_BIPARTITION_CAP, Objective, evaluate, values
 from .errors import BudgetExceededError
 from .metric import REL_TOL, MetricInstance, diameter_estimate, tol_leq
 
@@ -48,23 +47,17 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass
-class GuessGrid:
-    """Scale candidates (descending, ratio one half) and star-center candidates."""
-
-    delta_candidates: list[float]
-    z0_candidates: list[int]
-
-
-def build_guess_grid(inst: MetricInstance, k: int) -> GuessGrid:
-    """Geometric grid of scale guesses covering [diam_est / k^2, 2 * diam_est].
+def build_guess_grid(inst: MetricInstance, k: int) -> list[float]:
+    """Geometric grid of scale guesses covering [diam_est / k^2, 2 * diam_est],
+    descending with ratio one half.
 
     One extra candidate is kept beyond each end of the required range.
-    Candidates are q-th roots of guessed average values.
+    Candidates are q-th roots of guessed average values.  Every point is a
+    star-center candidate for every scale.
     """
     rhat = diameter_estimate(inst)
     if rhat <= 0:
-        return GuessGrid([], list(range(inst.n)))
+        return []
     top = 2.0 * rhat
     bottom = rhat / (k * k)
     cands = [top * 2.0]  # one extra above
@@ -73,7 +66,7 @@ def build_guess_grid(inst: MetricInstance, k: int) -> GuessGrid:
         cands.append(s)
         s /= 2.0
     cands.append(s)  # one extra below
-    return GuessGrid(cands, list(range(inst.n)))
+    return cands
 
 
 def _rounded_values(inst: MetricInstance, obj: Objective, ext: list[int], dq: np.ndarray,
@@ -81,8 +74,7 @@ def _rounded_values(inst: MetricInstance, obj: Objective, ext: list[int], dq: np
     """Rounded values of count rows over ``ext`` = centers + outliers (d^q block ``dq``)."""
     full = np.hstack([counts, np.ones((len(counts), len(ext) - counts.shape[1]), np.int64)])
     if obj.kind == "bipartition" and int(full[0].sum()) > EXACT_BIPARTITION_CAP:
-        return np.array([value_on_multiset(inst, obj, MultiplicityVector(tuple(ext), tuple(row)),
-                                           eps=eps) for row in full.tolist()])
+        return np.array([evaluate(inst, obj, np.repeat(ext, row), eps=eps) for row in full])
     return values(obj.kind, dq, full)
 
 
@@ -112,8 +104,8 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     if obj.kind == "bipartition" and k % 2:
         raise ValueError(f"bipartition needs even k, got {k}")
 
-    grid = build_guess_grid(inst, k)
-    if not grid.delta_candidates:
+    scales = build_guess_grid(inst, k)
+    if not scales:
         subset = tuple(range(k))
         return Solution(subset, 0.0, "ptas", guess=(0, 0.0),
                         meta=dict.fromkeys(("guesses", "repeats", "dominated", "scored",
@@ -128,8 +120,8 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     seen: set[tuple[int, bytes]] = set()
     problems: set[tuple[bytes, bytes]] = set()
     all_idx = np.arange(inst.n, dtype=np.int64)
-    for si, s in enumerate(grid.delta_candidates):
-        for z0 in grid.z0_candidates:
+    for si, s in enumerate(scales):
+        for z0 in range(inst.n):
             inside = tol_leq(inst.dists_from(z0), ball_coeff * s)
             outliers = all_idx[~inside]
             if outliers.size > k or (si, outliers.tobytes()) in seen:

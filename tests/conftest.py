@@ -47,3 +47,9 @@ def random_subsets(rng: np.random.Generator, n: int, k: int, count: int) -> np.n
     """Index rows of width k without replacement, as a (count, k) array."""
     return np.array([rng.choice(n, size=k, replace=False) for _ in range(count)],
                     dtype=np.int64)
+
+
+def term_count(kind: str, k: int) -> int:
+    """Number of distance terms an objective sums on k points; divides a value
+    into an average."""
+    return {"clique": k * (k - 1) // 2, "star": k - 1, "bipartition": k * k // 4}[kind]

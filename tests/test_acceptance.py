@@ -21,13 +21,12 @@ from divmax.bisection import min_bisection, star_center
 from divmax.cells import decompose_fixed, decompose_variable
 from divmax.cli import _scaling_instance
 from divmax.diversity import (balanced_split_masks, batch_evaluate,
-                              bipartition_value_exact,
-                              centroid_clique_identity, term_count)
+                              centroid_clique_identity)
 from divmax.fast_clique import solve_fast
 from divmax.instances import KSumInstance, verify_reduction
 from divmax.ptas import OUTLIER_RADIUS_COEFF, solve
 
-from conftest import random_subsets
+from conftest import random_subsets, term_count
 
 QS = (1.0, 1.5, 2.0, 3.0)
 KINDS = ("clique", "star", "bipartition")
@@ -138,7 +137,7 @@ def test_c3_bisection_guarantee(capsys):
             for eps in (0.25, 0.5):
                 for _ in range(5):
                     T = sorted(int(x) for x in rng.choice(18, size=k, replace=False))
-                    exact, _ = bipartition_value_exact(inst, T)
+                    exact = dm.evaluate(inst, dm.Objective("bipartition", q), T)
                     res = min_bisection(inst, T, eps)
                     trials += 1
                     if not (exact * (1 - 1e-9) <= res.value
@@ -153,7 +152,7 @@ def test_c4_far_points_in_optimum(family, oracles, capsys):
     for i, (name, inst, k) in enumerate(family):
         for kind in KINDS:
             opt = oracles[i, kind]
-            z0 = dm.star_value(inst, opt.subset)[1]
+            z0 = star_center(inst, opt.subset)[0]
             avg = opt.value / term_count(kind, k)
             radius = OUTLIER_RADIUS_COEFF[kind] * avg ** (1.0 / inst.q)
             d = inst.dists_from(z0)
@@ -255,7 +254,7 @@ def _check_cluster_ball():
         n = (12, 16, 20)[i % 3]
         inst = dm.gen_uniform(n, 2, seed=57000 + i)
         opt = brute_force_opt(inst, dm.Objective("clique"), k)
-        z0 = dm.star_value(inst, opt.subset)[1]
+        z0 = star_center(inst, opt.subset)[0]
         avg = opt.value / math.comb(k, 2)
         dmat = inst.pow_matrix()
         dz = dmat[z0]
@@ -284,7 +283,7 @@ def _check_variable_rounding():
             k = ks[t % len(ks)]
             T = np.array(sorted(int(x) for x in rng.choice(24, size=k, replace=False)),
                          dtype=np.int64)
-            bp, _ = bipartition_value_exact(inst, T)
+            bp = dm.evaluate(inst, dm.Objective("bipartition", q), T)
             delta_avg = 4.0 * bp / (k * k)
             z = star_center(inst, T)[0]
             for dlt in (0.1, 0.3):

@@ -8,10 +8,13 @@ import pytest
 
 import divmax as dm
 from divmax.baselines import brute_force_opt, greedy_clique
-from divmax.diversity import batch_evaluate, term_count
+from divmax.bisection import star_center
+from divmax.diversity import batch_evaluate
 from divmax.errors import EnumerationCapError
 from divmax.metric import tol_leq
 from divmax.ptas import OUTLIER_RADIUS_COEFF
+
+from conftest import term_count
 
 ROOT2 = math.sqrt(2.0)
 
@@ -252,7 +255,7 @@ def test_far_points_belong_to_optimum(kind, coeff, q):
         inst = dm.gen_uniform(n, 2, seed=trial * 17 + 5, q=q)
         k = 4
         opt = brute_force_opt(inst, dm.Objective(kind, q), k)
-        z0 = dm.star_value(inst, opt.subset)[1]
+        z0 = star_center(inst, opt.subset)[0]
         avg = opt.value / term_count(kind, k)
         radius = coeff * avg ** (1.0 / q)
         for u in range(n):
@@ -267,7 +270,7 @@ def test_outlier_count_and_ball_anchor_q1(seed):
     inst = dm.gen_uniform(16, 2, seed=100 + seed)
     k = 6
     opt = brute_force_opt(inst, dm.Objective("clique"), k)
-    z0 = dm.star_value(inst, opt.subset)[1]
+    z0 = star_center(inst, opt.subset)[0]
     avg = opt.value / math.comb(k, 2)
     dz = inst.dists_from(z0)
     assert int((dz > 2.0 * avg * (1 + 1e-9)).sum()) < k / 2

@@ -9,7 +9,7 @@ import divmax as dm
 from divmax import bisection
 from divmax.bisection import BisectionResult, min_bisection, star_center
 from divmax.cells import decompose_variable
-from divmax.diversity import balanced_split_masks, bipartition_value_exact, cross_values
+from divmax.diversity import balanced_split_masks, cross_values
 from divmax.errors import BudgetExceededError
 
 ROOT2 = math.sqrt(2.0)
@@ -32,12 +32,10 @@ def test_star_center_multiset():
 
 
 def test_star_center_validation(square):
-    with pytest.raises(ValueError, match="exponent"):
-        star_center(square, [0, 1], q=2.0)
     with pytest.raises(ValueError, match="at least 2"):
         star_center(square, [0])
-    # matching q passes through
-    assert star_center(square.with_q(2.0), [0, 1], q=2.0)[1] == pytest.approx(1.0)
+    # the instance exponent is used
+    assert star_center(square.with_q(2.0), [0, 1])[1] == pytest.approx(1.0)
 
 
 def test_star_center_agrees_with_star_value():
@@ -45,8 +43,12 @@ def test_star_center_agrees_with_star_value():
     rng = np.random.default_rng(0)
     for _ in range(10):
         sub = sorted(int(i) for i in rng.choice(12, size=5, replace=False))
-        assert star_center(inst, sub) == (dm.star_value(inst, sub)[1],
-                                          pytest.approx(dm.star_value(inst, sub)[0]))
+        # the star value of each member is its row sum over the subset
+        rows = inst.pow_submatrix(sub).sum(axis=1)
+        i = int(rows.argmin())
+        assert star_center(inst, sub) == (sub[i], pytest.approx(rows[i]))
+        assert star_center(inst, sub)[1] == pytest.approx(
+            dm.evaluate(inst, dm.Objective("star", 2.0), sub))
 
 
 # ------------------------------------------------------------ min_bisection
@@ -90,7 +92,7 @@ def test_bisection_within_eps_of_exact(q, eps):
     for k in (4, 6, 8):
         for _ in range(5):
             T = sorted(int(i) for i in rng.choice(12, size=k, replace=False))
-            exact, _ = bipartition_value_exact(inst, T)
+            exact = dm.evaluate(inst, dm.Objective("bipartition", q), T)
             res = min_bisection(inst, T, eps)
             assert exact * (1 - 1e-9) <= res.value, (q, eps, k, T)
             assert res.value <= (1 + eps) * exact * (1 + 1e-9), (q, eps, k, T)
@@ -99,7 +101,7 @@ def test_bisection_within_eps_of_exact(q, eps):
 
 
 def test_bisection_large_k_against_local_oracle():
-    # k = 18 exceeds the exact oracle cap; enumerate the 24310 splits here
+    # k = 18 exceeds the exact split cap; enumerate the 24310 splits here
     inst = dm.gen_uniform(24, 2, seed=13)
     rng = np.random.default_rng(5)
     T = sorted(int(i) for i in rng.choice(24, size=18, replace=False))
@@ -115,7 +117,7 @@ def test_bisection_singleton_cells_recover_exact():
     # walks all balanced splits, so the result matches the oracle exactly
     inst = dm.gen_uniform(10, 2, seed=29)
     T = list(range(8))
-    exact, _ = bipartition_value_exact(inst, T)
+    exact = dm.evaluate(inst, dm.Objective("bipartition"), T)
     res = min_bisection(inst, T, 0.9)
     assert res.value == pytest.approx(exact, rel=1e-12)
 
@@ -143,8 +145,6 @@ def test_bisection_tie_with_complement_is_canonical():
 
 
 def test_bisection_validation(square):
-    with pytest.raises(ValueError, match="exponent"):
-        min_bisection(square, [0, 1], 0.5, q=2.0)
     with pytest.raises(ValueError, match="eps"):
         min_bisection(square, [0, 1], 0.0)
     with pytest.raises(ValueError, match="even"):
@@ -208,7 +208,7 @@ def test_bisection_scale_sandwich(q):
         T = sorted(int(i) for i in rng.choice(12, size=k, replace=False))
         res = min_bisection(inst, T, 0.5)
         dp = res.provenance["delta_prime"]
-        bp, _ = bipartition_value_exact(inst, T)
+        bp = dm.evaluate(inst, dm.Objective("bipartition", q), T)
         avg = 4.0 * bp / (k * k)
         assert dp <= avg * (1 + 1e-9)
         assert avg <= dp * (2.0 ** q + 1.0) * k / (2.0 * (k - 1)) * (1 + 1e-9)
@@ -232,7 +232,11 @@ def test_bisection_grid_covers_exact_optimum(seed, k, q, eps):
     caps = np.bincount(decomp.label[np.searchsorted(decomp.points, T)], minlength=cells)
     steps = np.maximum(np.floor(prov["grid_frac"] * caps).astype(np.int64), 1)
 
-    _, exact_left = bipartition_value_exact(inst, T)
+    # the lexicographically smallest optimal left half
+    masks = balanced_split_masks(k)
+    dq = inst.pow_submatrix(T)
+    best = int(np.einsum("mi,ij,mj->m", masks, dq, 1.0 - masks).argmin())
+    exact_left = np.asarray(T)[masks[best] > 0.5]
     mstar = np.bincount(decomp.label[np.searchsorted(decomp.points, exact_left)],
                         minlength=cells)
     g = (mstar // steps) * steps

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import divmax as dm
+from divmax.bisection import star_center
 from divmax.diversity import _expand_rows, balanced_split_masks, batch_evaluate, values
 from divmax.errors import EnumerationCapError
 from divmax.metric import tol_leq
@@ -18,85 +19,82 @@ ROOT2 = math.sqrt(2.0)
 SQUARE_CLIQUE = 4.0 + 2.0 * ROOT2        # six pairs: four sides + two diagonals
 SQUARE_STAR = 2.0 + ROOT2                # any corner: two sides + one diagonal
 SQUARE_BP = 4.0                          # diagonal pairs kept on the same side
+CLIQUE, STAR, BIPARTITION = (dm.Objective(kind) for kind in ("clique", "star", "bipartition"))
 
 
 # ------------------------------------------------------------- subset values
 
 def test_clique_examples(square):
     pair = dm.MetricInstance.from_matrix([[0.0, 3.0], [3.0, 0.0]])
-    assert dm.clique_value(pair, [0, 1]) == pytest.approx(3.0)
-    assert dm.clique_value(square, range(4)) == pytest.approx(SQUARE_CLIQUE)
+    assert dm.evaluate(pair, CLIQUE, [0, 1]) == pytest.approx(3.0)
+    assert dm.evaluate(square, CLIQUE, range(4)) == pytest.approx(SQUARE_CLIQUE)
     sphere = dm.MetricInstance.from_points([[1.0, 0.0], [-1.0, 0.0]], q=2.0)
-    assert dm.clique_value(sphere, [0, 1]) == pytest.approx(4.0)
+    assert dm.evaluate(sphere, dm.Objective("clique", 2.0), [0, 1]) == pytest.approx(4.0)
 
 
 def test_star_examples(square, line013):
     pair = dm.MetricInstance.from_matrix([[0.0, 3.0], [3.0, 0.0]])
-    assert dm.star_value(pair, [0, 1]) == (pytest.approx(3.0), 0)
-    value, center = dm.star_value(line013, [0, 1, 2])
-    assert value == pytest.approx(3.0) and center == 1
-    value, center = dm.star_value(square, range(4))
-    assert value == pytest.approx(SQUARE_STAR)
-    assert center == 0  # four-way tie resolved to the lowest index
+    assert dm.evaluate(pair, STAR, [0, 1]) == pytest.approx(3.0)
+    assert star_center(pair, [0, 1])[0] == 0
+    assert dm.evaluate(line013, STAR, [0, 1, 2]) == pytest.approx(3.0)
+    assert star_center(line013, [0, 1, 2])[0] == 1
+    assert dm.evaluate(square, STAR, range(4)) == pytest.approx(SQUARE_STAR)
+    assert star_center(square, range(4))[0] == 0  # four-way tie resolved to the lowest index
 
 
 def test_bipartition_examples(square, line4):
     pair = dm.MetricInstance.from_matrix([[0.0, 3.0], [3.0, 0.0]])
-    assert dm.bipartition_value_exact(pair, [0, 1]) == (pytest.approx(3.0), (0,))
-    value, left = dm.bipartition_value_exact(square, range(4))
-    assert value == pytest.approx(SQUARE_BP) and left == (0, 3)
-    value, left = dm.bipartition_value_exact(line4, range(4))
-    assert value == pytest.approx(6.0) and left == (0, 2)
+    assert dm.evaluate(pair, BIPARTITION, [0, 1]) == pytest.approx(3.0)
+    assert dm.evaluate(square, BIPARTITION, range(4)) == pytest.approx(SQUARE_BP)
+    assert dm.evaluate(line4, BIPARTITION, range(4)) == pytest.approx(6.0)
 
 
 def test_bipartition_allows_repetition(line4):
     # two coincident copies at 0 and two at 1: best split pairs the copies
-    value, left = dm.bipartition_value_exact(line4, [0, 0, 1, 1])
-    assert value == pytest.approx(2.0) and left == (0, 1)
+    assert dm.evaluate(line4, BIPARTITION, [0, 0, 1, 1]) == pytest.approx(2.0)
+    assert dm.evaluate(line4, BIPARTITION, [1, 0, 1, 0]) == pytest.approx(2.0)
 
 
 def test_bipartition_rejects_odd_and_oversize(square):
     with pytest.raises(ValueError, match="even"):
-        dm.bipartition_value_exact(square, [0, 1, 2])
+        dm.evaluate(square, BIPARTITION, [0, 1, 2])
     big = dm.gen_uniform(18, 2, seed=0)
-    with pytest.raises(EnumerationCapError, match="up to 16"):
-        dm.bipartition_value_exact(big, range(18))
+    with pytest.raises(EnumerationCapError, match="18 elements on 18 distinct points"):
+        dm.evaluate(big, BIPARTITION, range(18))
 
 
 def test_bipartition_minimum_over_reenumerated_splits(square):
     rng = np.random.default_rng(2)
     inst = dm.gen_uniform(10, 2, seed=9, q=1.5)
+    obj = dm.Objective("bipartition", 1.5)
     for k in (4, 6):
         sub = sorted(rng.choice(10, size=k, replace=False))
-        best, left = dm.bipartition_value_exact(inst, sub)
+        best = dm.evaluate(inst, obj, sub)
+        crosses = []
         for rest in combinations(sub[1:], k // 2 - 1):
             L = [sub[0], *rest]
             R = [u for u in sub if u not in L]
-            cross = sum(inst.dist_pow(a, b) for a in L for b in R)
-            assert best <= cross * (1 + 1e-12)
-        assert set(left) <= set(sub) and len(left) == k // 2
+            crosses.append(sum(inst.dist_pow(a, b) for a in L for b in R))
+        assert best == pytest.approx(min(crosses), rel=1e-12)
 
 
 def test_subset_too_small(square):
     with pytest.raises(ValueError, match="too small"):
-        dm.clique_value(square, [0])
+        dm.evaluate(square, CLIQUE, [0])
     with pytest.raises(IndexError):
-        dm.star_value(square, [0, 9])
+        dm.evaluate(square, STAR, [0, 9])
 
 
 def test_bipartition_and_multiset_reject_out_of_range_indices():
-    # numpy would wrap -1 to the last point; clique and star already raise
+    # numpy would wrap -1 to the last point instead of failing
     inst = dm.gen_uniform(10, 2, seed=1)
     msg = r"subset index out of range \[0, 10\)"
     with pytest.raises(IndexError, match=msg):
-        dm.evaluate(inst, dm.Objective("bipartition"), [-1, 0, 3, 4])
-    with pytest.raises(IndexError, match=msg):
-        dm.bipartition_value_exact(inst, [0, 3, 4, 10])
+        dm.evaluate(inst, BIPARTITION, [-1, 0, 3, 4])
     for kind in ("clique", "star", "bipartition"):
-        for centers in ((-1, 0), (0, 10)):
+        for bad in ([-1, -1, 0, 0], [0, 0, 10, 10], [10] * 18):
             with pytest.raises(IndexError, match=msg):
-                dm.value_on_multiset(inst, dm.Objective(kind),
-                                     dm.MultiplicityVector(centers, (2, 2)))
+                dm.evaluate(inst, dm.Objective(kind), bad)
 
 
 def test_balanced_split_masks():
@@ -108,16 +106,11 @@ def test_balanced_split_masks():
         balanced_split_masks(5)
 
 
-def test_objective_and_term_count():
+def test_objective_validation():
     with pytest.raises(ValueError, match="unknown objective"):
         dm.Objective("tree")
     with pytest.raises(ValueError, match="q must be >= 1"):
         dm.Objective("clique", 0.9)
-    assert dm.term_count("clique", 6) == 15
-    assert dm.term_count("star", 6) == 5
-    assert dm.term_count("bipartition", 6) == 9
-    with pytest.raises(ValueError):
-        dm.term_count("edge", 4)
 
 
 def test_evaluate_dispatch(square):
@@ -153,104 +146,126 @@ def test_evaluate_large_bipartition_needs_eps():
 
 # ---------------------------------------------------------------- multisets
 
-def test_multiplicity_vector_validation():
-    mv = dm.MultiplicityVector((3, 5), (2, 1))
-    assert mv.size == 3 and mv.expand() == [3, 3, 5]
-    with pytest.raises(ValueError, match="equal length"):
-        dm.MultiplicityVector((1,), (1, 2))
-    with pytest.raises(ValueError, match="distinct"):
-        dm.MultiplicityVector((1, 1), (1, 2))
-    with pytest.raises(ValueError, match="nonnegative"):
-        dm.MultiplicityVector((1, 2), (1, -2))
-
-
 def test_multiset_single_center_is_zero(square):
-    for mv in (dm.MultiplicityVector((2,), (4,)), dm.MultiplicityVector((2,), (2,))):
+    for sub in ([2] * 4, [2] * 2, [2] * 18):
         for kind in ("clique", "star", "bipartition"):
-            assert dm.value_on_multiset(square, dm.Objective(kind), mv) == 0.0
+            assert dm.evaluate(square, dm.Objective(kind), sub) == 0.0
 
 
 def test_multiset_two_center_examples():
     pair = dm.MetricInstance.from_matrix([[0.0, 1.0], [1.0, 0.0]])
-    mv = dm.MultiplicityVector((0, 1), (2, 2))
-    assert dm.value_on_multiset(pair, dm.Objective("clique"), mv) == pytest.approx(4.0)
-    assert dm.value_on_multiset(pair, dm.Objective("star"), mv) == pytest.approx(2.0)
-    assert dm.value_on_multiset(pair, dm.Objective("bipartition"), mv) == pytest.approx(2.0)
-    mv = dm.MultiplicityVector((0, 1), (2, 3))
-    assert dm.value_on_multiset(pair, dm.Objective("clique"), mv) == pytest.approx(6.0)
-    mv = dm.MultiplicityVector((0, 1), (1, 1))
-    assert dm.value_on_multiset(pair, dm.Objective("clique"), mv) == pytest.approx(1.0)
+    assert dm.evaluate(pair, CLIQUE, [0, 0, 1, 1]) == pytest.approx(4.0)
+    assert dm.evaluate(pair, STAR, [0, 0, 1, 1]) == pytest.approx(2.0)
+    assert dm.evaluate(pair, BIPARTITION, [0, 0, 1, 1]) == pytest.approx(2.0)
+    assert dm.evaluate(pair, CLIQUE, [0, 0, 1, 1, 1]) == pytest.approx(6.0)
+    assert dm.evaluate(pair, CLIQUE, [0, 1]) == pytest.approx(1.0)
     # a doubled cell center plus a forced outlier at distance 1
     cell = dm.MetricInstance.from_points([[0.0], [0.0], [1.0]])
-    mv = dm.MultiplicityVector((0, 2), (2, 1))
-    assert dm.value_on_multiset(cell, dm.Objective("clique"), mv) == pytest.approx(2.0)
-    assert dm.value_on_multiset(cell, dm.Objective("star"), mv) == pytest.approx(1.0)
+    assert dm.evaluate(cell, CLIQUE, [0, 0, 2]) == pytest.approx(2.0)
+    assert dm.evaluate(cell, STAR, [0, 0, 2]) == pytest.approx(1.0)
+    # above the exact cap: 10 copies of each point split five and five
+    assert dm.evaluate(pair, BIPARTITION, [0] * 10 + [1] * 10) == pytest.approx(50.0)
 
 
 def test_multiset_validation(square):
-    obj = dm.Objective("clique")
     with pytest.raises(ValueError, match="too small"):
-        dm.value_on_multiset(square, obj, dm.MultiplicityVector((0,), (1,)))
-    odd = dm.MultiplicityVector((0, 1), (2, 1))
+        dm.evaluate(square, CLIQUE, [0])
     with pytest.raises(ValueError, match="even"):
-        dm.value_on_multiset(square, dm.Objective("bipartition"), odd)
+        dm.evaluate(square, BIPARTITION, [0, 0, 1])
+    with pytest.raises(ValueError, match="even"):
+        dm.evaluate(square, BIPARTITION, [0] * 10 + [1] * 9)
     with pytest.raises(ValueError, match="exponent"):
-        dm.value_on_multiset(square, dm.Objective("clique", 3.0), odd)
+        dm.evaluate(square, dm.Objective("clique", 3.0), [0, 0, 1])
 
 
 @pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))
 @pytest.mark.parametrize("seed", range(4))
 def test_all_ones_multiset_equals_subset(kind, seed):
+    # an all-ones count row scores the same as the plain subset
     rng = np.random.default_rng(seed)
     inst = dm.gen_uniform(12, 2, seed=seed + 20, q=1.0 + seed)
     k = 4 if kind == "bipartition" else 5
     sub = sorted(int(i) for i in rng.choice(12, size=k, replace=False))
     obj = dm.Objective(kind, inst.q)
-    mv = dm.MultiplicityVector(tuple(sub), (1,) * k)
-    assert dm.value_on_multiset(inst, obj, mv) == dm.evaluate(inst, obj, sub)
+    ones = np.ones((1, k), dtype=np.int64)
+    assert values(kind, inst.pow_submatrix(sub), ones)[0] == pytest.approx(
+        dm.evaluate(inst, obj, sub), rel=1e-12)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_multiset_matches_expansion(seed):
-    # multiset value == subset-style value of the expanded list (clique/star,
-    # where expansion is directly expressible through batch evaluation)
+    # a shuffled index list with repeats scores as its expanded index row
     rng = np.random.default_rng(seed)
     inst = dm.gen_uniform(8, 2, seed=int(rng.integers(1 << 30)), q=float(rng.choice([1.0, 2.0])))
     ncent = int(rng.integers(2, 5))
-    centers = tuple(int(i) for i in rng.choice(8, size=ncent, replace=False))
-    mult = tuple(int(m) for m in rng.integers(1, 4, size=ncent))
-    mv = dm.MultiplicityVector(centers, mult)
-    rows = np.array([mv.expand()], dtype=np.int64)
+    centers = rng.choice(8, size=ncent, replace=False)
+    expanded = np.repeat(centers, rng.integers(1, 4, size=ncent))
+    rows = expanded[None, :]
     dq = inst.pow_matrix()
-    for kind in ("clique", "star"):
-        got = dm.value_on_multiset(inst, dm.Objective(kind, inst.q), mv)
+    for kind in ("clique", "star", "bipartition"):
+        if kind == "bipartition" and expanded.size % 2:
+            continue
+        got = dm.evaluate(inst, dm.Objective(kind, inst.q), rng.permutation(expanded))
         want = float(batch_evaluate(kind, dq, rows)[0])
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-    if mv.size % 2 == 0:
-        got = dm.value_on_multiset(inst, dm.Objective("bipartition", inst.q), mv)
-        want = dm.bipartition_value_exact(inst, mv.expand())[0]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_multiset_matches_count_row(seed):
+    # evaluate on a random multiset, up to 20 elements on at most 8 distinct
+    # points (so bipartitions reach past the exact cap), against the count
+    # row of its multiplicities over the support
+    rng = np.random.default_rng(seed)
+    inst = dm.gen_uniform(10, 2, seed=int(rng.integers(1 << 30)), q=float(rng.choice([1.0, 2.0])))
+    support = np.sort(rng.choice(10, size=int(rng.integers(1, 9)), replace=False))
+    mult = rng.multinomial(2 * int(rng.integers(1, 11)), [1.0 / support.size] * support.size)
+    support, mult = support[mult > 0], mult[mult > 0]
+    multiset = rng.permutation(np.repeat(support, mult))
+    dq = inst.pow_submatrix(support)
+    for kind in ("clique", "star", "bipartition"):
+        got = dm.evaluate(inst, dm.Objective(kind, inst.q), multiset)
+        want = float(values(kind, dq, mult[None])[0])
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_multiset_split_delegation_beyond_cap():
+    # 18 elements exceed the exact cap, and 11 distinct points the split cap
     inst = dm.gen_uniform(14, 2, seed=31)
     obj = dm.Objective("bipartition")
-    mv = dm.MultiplicityVector(tuple(range(11)), (2,) + (1,) * 10)  # 11 > split cap
+    multiset = [0] * 8 + list(range(1, 11))
     with pytest.raises(EnumerationCapError, match="pass eps"):
-        dm.value_on_multiset(inst, obj, mv)
-    approx = dm.value_on_multiset(inst, obj, mv, eps=0.25)
-    exact = dm.bipartition_value_exact(inst, mv.expand())[0]
+        dm.evaluate(inst, obj, multiset)
+    approx = dm.evaluate(inst, obj, multiset, eps=0.25)
+    exact = float(values("bipartition", inst.pow_submatrix(range(11)),
+                         np.array([[8] + [1] * 10]))[0])
     assert exact * (1 - 1e-9) <= approx <= exact * 1.25 * (1 + 1e-9)
 
 
 def test_multiset_all_ones_beyond_split_cap_stays_exact():
-    # twelve occupied centers exceed the split cap, but an all-ones vector is
-    # just a subset and keeps the exact small-k oracle
+    # twelve distinct points exceed the split cap, but twelve elements stay
+    # within the exact cap, so no eps is needed
     inst = dm.gen_uniform(14, 2, seed=31)
     obj = dm.Objective("bipartition")
-    mv = dm.MultiplicityVector(tuple(range(12)), (1,) * 12)
-    got = dm.value_on_multiset(inst, obj, mv)
-    assert got == dm.bipartition_value_exact(inst, range(12))[0]
+    dq = inst.pow_submatrix(range(12))
+    masks = balanced_split_masks(12)
+    want = min(float(m @ dq @ (1.0 - m)) for m in masks)
+    assert dm.evaluate(inst, obj, range(12)) == pytest.approx(want, rel=1e-12)
+
+
+def test_bipartition_above_cap_on_few_points_is_exact():
+    # 18 elements on 9 distinct points: the per-point split counts are
+    # enumerated exactly, so no eps is needed
+    inst = dm.gen_uniform(12, 2, seed=8, q=1.5)
+    obj = dm.Objective("bipartition", 1.5)
+    multiset = [3] * 8 + [0, 0, 1, 4, 5, 7, 9, 10, 11, 11]
+    got = dm.evaluate(inst, obj, multiset)
+    dq = inst.pow_submatrix(multiset)
+    exact = np.inf
+    for rest in combinations(range(1, 18), 8):
+        mask = np.zeros(18)
+        mask[[0, *rest]] = 1.0
+        exact = min(exact, float(mask @ dq @ (1.0 - mask)))
+    assert got == pytest.approx(exact, rel=1e-12)
 
 
 # ------------------------------------------------------ objective relations
@@ -263,9 +278,8 @@ def test_star_and_bipartition_sandwich_clique(q, k):
     inst = dm.gen_uniform(16, 3, seed=k, q=q)
     for _ in range(25):
         sub = sorted(int(i) for i in rng.choice(16, size=k, replace=False))
-        cl = dm.clique_value(inst, sub)
-        st_ = dm.star_value(inst, sub)[0]
-        bp = dm.bipartition_value_exact(inst, sub)[0]
+        cl, st_, bp = (dm.evaluate(inst, dm.Objective(kind, q), sub)
+                       for kind in ("clique", "star", "bipartition"))
         assert tol_leq(k / 2.0 * st_, cl)
         assert tol_leq(cl, 2.0 ** (q - 1.0) * k * st_)
         assert tol_leq(2.0 * (k - 1) / k * bp, cl)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 import divmax as dm
 from divmax import fast_clique
 from divmax.cells import decompose_fixed
-from divmax.diversity import MultiplicityVector, Objective, value_on_multiset, values
-from divmax.fast_clique import find_center, multiplicity_ladder, solve_fast
+from divmax.diversity import Objective, values
+from divmax.fast_clique import _find_center_row, multiplicity_ladder, solve_fast
 from divmax.metric import REL_TOL, tol_leq
+
+CLIQUE = Objective("clique")
 
 
 # ---------------------------------------------------------------- ladders
@@ -74,12 +76,11 @@ def test_cl_of_multiplicities_matches_multiset_value(seed):
         mult[0] += 2
     table = np.array([[inst.dist(a, b) for b in centers] for a in centers])
     got = values("clique", table, np.array([mult]))[0]
-    mv = MultiplicityVector(tuple(centers), tuple(mult))
-    want = value_on_multiset(inst, Objective("clique"), mv)
+    want = dm.evaluate(inst, CLIQUE, np.repeat(centers, mult))
     assert got == pytest.approx(want, rel=1e-9)
 
 
-# ------------------------------------------------------------- find_center
+# ---------------------------------------------------------- center finding
 
 def test_find_center_prefers_populous_side():
     # 3 points near x=0, 10 points near x=10; k=8 means the small side's
@@ -88,11 +89,10 @@ def test_find_center_prefers_populous_side():
     pts = [[0.0 + 0.01 * i] for i in range(3)] + [[10.0 + 0.01 * i] for i in range(10)]
     inst = dm.MetricInstance.from_points(pts)
     decomp = decompose_fixed(inst, None, 0.05)
-    c = find_center(inst, decomp, 1.0, 8)
+    c, row = _find_center_row(inst, decomp, 1.0, 8)
     assert c >= 3  # a center in the large cluster
     # solve_fast reuses the distance row computed for the center it finds
-    c_row, row = fast_clique._find_center_row(inst, decomp, 1.0, 8)
-    assert c_row == c and row.tolist() == inst.dists_from(c).tolist()
+    assert row.tolist() == inst.dists_from(c).tolist()
 
 
 def test_find_center_balanced_clusters_fail():
@@ -100,7 +100,7 @@ def test_find_center_balanced_clusters_fail():
     inst = dm.MetricInstance.from_points(pts)
     decomp = decompose_fixed(inst, None, 0.05)
     with pytest.raises(RuntimeError, match="k/2"):
-        find_center(inst, decomp, 1.0, 8)
+        _find_center_row(inst, decomp, 1.0, 8)
 
 
 # -------------------------------------------------------------- solve_fast
@@ -213,9 +213,9 @@ def test_solve_fast_frozen_complete_searches(make, k, eps, subset, value, leaves
 
 
 def _best_swap_gain(inst, subset):
-    base = dm.clique_value(inst, subset)
+    base = dm.evaluate(inst, CLIQUE, subset)
     rest = [v for v in range(inst.n) if v not in subset]
-    best = max(dm.clique_value(inst, [w for w in subset if w != u] + [v])
+    best = max(dm.evaluate(inst, CLIQUE, [w for w in subset if w != u] + [v])
                for u in subset for v in rest)
     return best - base, base
 
@@ -228,7 +228,7 @@ def test_solve_fast_over_budget_is_swap_optimal(seed):
     sol = solve_fast(inst, k, 0.3, budget=1)
     assert not sol.meta["search_complete"] and sol.meta["candidates"] == 0
     assert sol.value >= g.value
-    assert sol.value == dm.clique_value(inst, sol.subset)
+    assert sol.value == dm.evaluate(inst, CLIQUE, sol.subset)
     gain, base = _best_swap_gain(inst, sol.subset)
     assert gain <= REL_TOL * base
     assert sol.meta["greedy_floor_used"] == (sol.meta["swaps"] == 0)

@@ -65,7 +65,7 @@ def test_graph12_complete_graph():
     adj = ~np.eye(n, dtype=bool)
     inst = gen_graph_12metric(adj)
     # all pairs adjacent -> all distances 2 -> any 3-set has clique value 6
-    assert dm.clique_value(inst, [0, 1, 2]) == pytest.approx(6.0)
+    assert dm.evaluate(inst, dm.Objective("clique"), [0, 1, 2]) == pytest.approx(6.0)
     assert inst.dist(0, 3) == 2.0
 
 

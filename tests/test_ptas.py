@@ -22,10 +22,8 @@ from divmax.ptas import (GUESS_SLACK, OUTLIER_RADIUS_COEFF, build_guess_grid,
 def test_guess_grid_geometry():
     inst = dm.gen_uniform(10, 2, seed=1)
     k = 4
-    grid = build_guess_grid(inst, k)
+    cands = build_guess_grid(inst, k)
     rhat = diameter_estimate(inst)
-    cands = grid.delta_candidates
-    assert grid.z0_candidates == list(range(10))
     assert cands[0] == pytest.approx(4.0 * rhat)   # one spare above 2 * rhat
     assert cands[1] == pytest.approx(2.0 * rhat)
     for a, b in zip(cands, cands[1:]):
@@ -37,8 +35,7 @@ def test_guess_grid_geometry():
 
 def test_guess_grid_degenerate_instance():
     inst = dm.MetricInstance.from_points([[2.0, 2.0]] * 5)
-    grid = build_guess_grid(inst, 3)
-    assert grid.delta_candidates == [] and grid.z0_candidates == [0, 1, 2, 3, 4]
+    assert build_guess_grid(inst, 3) == []
 
 
 # ------------------------------------------------------------- compositions
@@ -160,20 +157,22 @@ def test_solve_clustered_with_outliers():
 
 def test_solve_bipartition_above_exact_cap_scores_rows_one_by_one():
     # k = 18 > EXACT_BIPARTITION_CAP, so every candidate row is scored by its
-    # own value_on_multiset call; here each is one min_bisection call.  Those
-    # scores are 1 + eps estimates, so exact repeats are the only guesses
-    # dropped: 24 guesses, one row each, 14 of them repeats
+    # own evaluate call; on 18 distinct points each is one min_bisection call.
+    # Those scores are 1 + eps estimates, so exact repeats are the only
+    # guesses dropped: 24 guesses, one row each, 14 of them repeats
     assert dm.EXACT_BIPARTITION_CAP < 18
     inst = dm.gen_clustered(16, 0.01, [(1.0, 0.0), (0.0, 1.0)], seed=3)
     obj = dm.Objective("bipartition")
-    calls = mock.Mock(wraps=ptas.value_on_multiset)
-    with mock.patch.object(ptas, "value_on_multiset", calls):
+    calls = mock.Mock(wraps=ptas.evaluate)
+    with mock.patch.object(ptas, "evaluate", calls):
         sol = solve(inst, obj, 18, 0.5)
     assert sol.subset == tuple(range(18))
     assert sol.value == dm.evaluate(inst, obj, sol.subset, eps=0.5)
     assert {key: sol.meta[key] for key in ("guesses", "repeats", "dominated", "scored")} == {
         "guesses": 24, "repeats": 14, "dominated": 0, "scored": 10}
-    assert sol.meta["candidates"] == calls.call_count == 10
+    # one call per row, then one re-evaluation of each scored guess's pre-image
+    assert sol.meta["candidates"] == 10 and calls.call_count == 10 + 10
+    assert all(call.kwargs == {"eps": 0.5} for call in calls.call_args_list)
     # with rows scored exactly, three of the ten would be dominated
     with mock.patch.object(ptas, "EXACT_BIPARTITION_CAP", 18):
         assert solve(inst, obj, 18, 0.5).meta["dominated"] == 3
