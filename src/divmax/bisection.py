@@ -5,9 +5,10 @@ minimizing f(L, R), the sum of q-power distances across the split.  The
 scheme anchors a variable-radius cell decomposition at the star center of T,
 rounds T onto the cell centers, and searches per-center multiplicity grids
 whose step is a small fraction of each cell's population.  Any grid choice is
-completed to exactly k/2 elements by bounded raises; the best completed
-vector's pre-image is returned together with its exact split value, which is
-within (1 + eps) of the optimal bisection.
+completed to exactly k/2 elements by bounded raises; when every step is 1 the
+grid is instead the set of vectors summing to k/2, one of each split and its
+complement.  The best completed vector's pre-image is returned together with
+its exact split value, which is within (1 + eps) of the optimal bisection.
 """
 from __future__ import annotations
 
@@ -89,15 +90,23 @@ def min_bisection(inst: MetricInstance, T, eps: float,
     half = k // 2
 
     grid = [range(0, int(c) + 1, int(st)) for c, st in zip(caps, steps)]
-    counted = count_compositions(grid, half, at_most=True)
+    # With unit steps the grid holds every count vector in [0, caps] that sums
+    # to k/2, which the raises below would only re-derive with duplicates, so
+    # enumerate those vectors directly; a split's complement flips coordinate
+    # 0 to caps[0] - x, so keeping x <= caps[0] // 2 scores one of each pair.
+    at_most = bool((steps > 1).any())
+    if not at_most:
+        grid[0] = range(0, int(caps[0]) // 2 + 1)
+    counted = count_compositions(grid, half, at_most=at_most)
     if counted > budget:
         raise BudgetExceededError(
             f"grid budget exceeded: {counted} predicted candidate vectors > budget {budget}")
     dq_c = inst.pow_submatrix(decomp.centers)
     m_full = caps.astype(np.float64)
     vmin, pick = np.inf, None
-    for block in enumerate_compositions(grid, half, at_most=True):
-        # complete each grid vector to exactly k/2 by bounded raises
+    for block in enumerate_compositions(grid, half, at_most=at_most):
+        # complete each grid vector to exactly k/2 by bounded raises (rows of
+        # the exact-sum grid pass through unchanged)
         arr = raise_to_total(block, caps, steps, half).astype(np.float64)
         if not arr.shape[0]:
             continue

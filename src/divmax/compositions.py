@@ -3,11 +3,14 @@
 
 Rows follow the lexicographic order of value-list positions: the first
 coordinate varies slowest and runs through ``values[0]`` in its given order.
-Each block unranks a range of row numbers against exact completion counts,
-the same counts ``count_compositions`` returns before anything is allocated.
+Each block unranks a range of row numbers against exact completion counts.
+``count_compositions`` gives the number of rows before anything is allocated,
+from a product of one polynomial per distinct value list.
 ``raise_to_total`` completes a block of such rows to an exact sum.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -15,14 +18,19 @@ BLOCK_ROWS = 16384
 BLOCK_ENTRIES = 1 << 19  # rows times coordinates in one block, for wide vectors
 
 
-def _completion_tables(values, total: int, at_most: bool):
-    """Value arrays and, per coordinate i, the exact table ``cum[s, j]``: the
-    number of ways to finish coordinates i.. from remaining sum s with a value
-    of position < j at coordinate i.  Entries are Python ints."""
+def _value_arrays(values, total: int) -> list[np.ndarray]:
     vals = [np.asarray(v, dtype=np.int64) for v in values]
     if total < 0 or any(v.ndim != 1 or (v < 0).any() for v in vals):
         raise ValueError("compositions need a nonnegative total and one-dimensional "
                          "lists of nonnegative values")
+    return vals
+
+
+def _completion_tables(values, total: int, at_most: bool):
+    """Value arrays and, per coordinate i, the exact table ``cum[s, j]``: the
+    number of ways to finish coordinates i.. from remaining sum s with a value
+    of position < j at coordinate i.  Entries are Python ints."""
+    vals = _value_arrays(values, total)
     after = np.full(total + 1, 1 if at_most else 0, dtype=object)
     after[0] = 1
     cums = []
@@ -37,9 +45,41 @@ def _completion_tables(values, total: int, at_most: bool):
     return vals, cums[::-1], after
 
 
+def _times(a: list[int], b: list[int], total: int) -> list[int]:
+    """Product of two polynomials given as ``total + 1`` coefficients, cut at
+    degree ``total``."""
+    out = [0] * (total + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[:total + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
 def count_compositions(values, total: int, *, at_most: bool = False) -> int:
-    """Exact number of rows ``enumerate_compositions(values, total)`` yields."""
-    return int(_completion_tables(values, total, at_most)[2][total])
+    """Exact number of rows ``enumerate_compositions(values, total)`` yields.
+
+    The count is the coefficient of x^total (or the sum of those up to it) in
+    the product over coordinates of sum_{v in values[i]} x^v.  The product
+    does not depend on coordinate order, so each distinct value list is
+    raised to its multiplicity by repeated squaring."""
+    try:  # group first, so that only distinct lists are converted and checked
+        lists = Counter(map(tuple, values))
+    except TypeError:  # a value or an entry that is no sequence or not hashable
+        lists = Counter(tuple(v.tolist()) for v in _value_arrays(values, total))
+    prod = [1] + [0] * total
+    for v, times in zip(_value_arrays(lists, total), lists.values()):
+        poly = [0] * (total + 1)
+        for x in v.tolist():
+            if x <= total:
+                poly[x] += 1
+        while times:
+            if times & 1:
+                prod = _times(prod, poly, total)
+            times >>= 1
+            if times:
+                poly = _times(poly, poly, total)
+    return sum(prod) if at_most else prod[total]
 
 
 def enumerate_compositions(values, total: int, *, at_most: bool = False):

@@ -8,6 +8,8 @@ explicit distance matrix) is invisible to them.
 """
 from __future__ import annotations
 
+import os
+import stat
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,6 +21,9 @@ from .errors import InstanceParseError, MetricValidationError
 REL_TOL = 1e-9
 
 NORMS = ("l1", "l2", "linf")
+
+# Characters of an instance file read and parsed at a time.
+LOAD_CHUNK_CHARS = 1 << 16
 
 
 def tol_leq(a, b, tol: float = REL_TOL):
@@ -228,40 +233,45 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
     Values are separated by whitespace.  Each is a finite decimal or
     exponent float in ASCII (``1``, ``-0.5``, ``2.5e-300``), optionally
     signed; ``inf``, ``nan``, underscores and non-ASCII digits are rejected.
-    Blank lines may follow the last row and nowhere else.  The body is parsed
-    in one ``numpy.loadtxt`` call; only when that fails are the lines
-    searched for the first one that does not parse, whose number the
-    ``InstanceParseError`` carries.  A body that parses but holds a
+    Blank lines may follow the last row and nowhere else.  The body is read
+    from the file in chunks of about ``LOAD_CHUNK_CHARS`` characters, each
+    parsed by one ``numpy.loadtxt`` call into a preallocated array; only in a
+    chunk that fails are the lines searched for the first one that does not
+    parse, whose number the ``InstanceParseError`` carries.  A wrong number
+    of rows is reported before any bad line.  A body that parses but holds a
     non-finite value is refused with the number of its first such line.  The
     exponent q is not stored in the file; it is supplied by the caller.
     """
     with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or not raw[0].strip():
-        raise InstanceParseError("line 1: empty file, expected a header line")
-    head = raw[0].split()
-    if head[0] == "points":
-        if len(head) != 4:
-            raise InstanceParseError(
-                f"line 1: expected 'points <D> <n> <norm>', got {raw[0]!r}")
-        try:
-            d, n = int(head[1]), int(head[2])
-        except ValueError:
-            raise InstanceParseError(f"line 1: non-integer dimensions in {raw[0]!r}") from None
-        norm = head[3]
-        if norm not in NORMS:
-            raise InstanceParseError(f"line 1: unknown norm {norm!r}; expected one of {NORMS}")
-        rows = _read_rows(raw, n, d, what="coordinate")
-        return MetricInstance.from_points(rows, norm=norm, q=q)
-    if head[0] == "matrix":
-        if len(head) != 2:
-            raise InstanceParseError(f"line 1: expected 'matrix <n>', got {raw[0]!r}")
-        try:
-            n = int(head[1])
-        except ValueError:
-            raise InstanceParseError(f"line 1: non-integer size in {raw[0]!r}") from None
-        rows = _read_rows(raw, n, n, what="distance")
-        return MetricInstance.from_matrix(rows, q=q, validate=validate)
+        first = fh.readline().splitlines()
+        if not first or not first[0].strip():
+            raise InstanceParseError("line 1: empty file, expected a header line")
+        header = first[0]
+        head = header.split()
+        if head[0] == "points":
+            if len(head) != 4:
+                raise InstanceParseError(
+                    f"line 1: expected 'points <D> <n> <norm>', got {header!r}")
+            try:
+                d, n = int(head[1]), int(head[2])
+            except ValueError:
+                raise InstanceParseError(
+                    f"line 1: non-integer dimensions in {header!r}") from None
+            norm = head[3]
+            if norm not in NORMS:
+                raise InstanceParseError(
+                    f"line 1: unknown norm {norm!r}; expected one of {NORMS}")
+            rows = _read_rows(fh, first[1:], n, d, what="coordinate")
+            return MetricInstance.from_points(rows, norm=norm, q=q)
+        if head[0] == "matrix":
+            if len(head) != 2:
+                raise InstanceParseError(f"line 1: expected 'matrix <n>', got {header!r}")
+            try:
+                n = int(head[1])
+            except ValueError:
+                raise InstanceParseError(f"line 1: non-integer size in {header!r}") from None
+            rows = _read_rows(fh, first[1:], n, n, what="distance")
+            return MetricInstance.from_matrix(rows, q=q, validate=validate)
     raise InstanceParseError(
         f"line 1: unknown header {head[0]!r}; expected 'points' or 'matrix'")
 
@@ -279,34 +289,68 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
     return rows if rows.shape == (len(lines), width) else None
 
 
-def _read_rows(raw: list[str], n: int, width: int, what: str) -> np.ndarray:
+def _line_chunks(fh, lines: list[str]):
+    """``lines``, then the rest of the file in lists of lines of about
+    ``LOAD_CHUNK_CHARS`` characters.  Each read is completed to a newline,
+    so the lines are those ``str.splitlines`` gives on the whole text."""
+    yield lines
+    while text := fh.read(LOAD_CHUNK_CHARS):
+        yield (text + fh.readline()).splitlines()
+
+
+def _read_rows(fh, lines: list[str], n: int, width: int, what: str) -> np.ndarray:
+    """The n body rows of ``width`` values that follow the header: ``lines``,
+    then the rest of ``fh``."""
     if n < 2:
         raise InstanceParseError(f"line 1: need at least 2 points, got n={n}")
-    body = raw[1:]
-    while body and not body[-1].strip():
-        body.pop()
-    if len(body) != n:
+    # A valid body spends at least 2 bytes per value, so a header whose n
+    # cannot fit in the file allocates nothing; the checks below then fail.
+    info = os.fstat(fh.fileno())
+    fits = not stat.S_ISREG(info.st_mode) or 2 * n * width <= info.st_size
+    rows = np.empty((n, width)) if fits else None
+    read = body = 0  # lines read after the header; lines up to the last non-blank one
+    bad = non_finite = None
+    for chunk in _line_chunks(fh, lines):
+        at, read = read, read + len(chunk)
+        last = len(chunk)
+        while last and not chunk[last - 1].strip():
+            last -= 1
+        if last:
+            body = at + last
+        part = chunk[:max(0, n - at)]
+        if bad is not None or not part:
+            continue
+        got = _parse_rows(part, width)
+        if got is None:
+            bad = at, part  # the first chunk holding a line that does not parse
+            continue
+        if rows is not None:
+            rows[at:at + len(part)] = got
+        cell = _first_non_finite(got) if non_finite is None else None
+        if cell is not None:
+            non_finite = at + cell[0], part[cell[0]].split()[cell[1]]
+    if body != n:
         raise InstanceParseError(
-            f"line {len(raw)}: expected {n} {what} rows, found {len(body)}")
-    rows = _parse_rows(body, width)
-    if rows is not None:
-        at = _first_non_finite(rows)
-        if at is not None:
-            raise InstanceParseError(f"line {at[0] + 2}: {what} values must be finite, "
-                                     f"got {body[at[0]].split()[at[1]]!r}")
+            f"line {read + 1}: expected {n} {what} rows, found {body}")
+    if bad is None:
+        if non_finite is not None:
+            raise InstanceParseError(f"line {non_finite[0] + 2}: {what} values must be "
+                                     f"finite, got {non_finite[1]!r}")
         return rows
-    # Bisect for the first bad line: body[:lo] parses and body[lo:hi] holds
-    # a bad line, so at most n lines are parsed again in all.
-    lo, hi = 0, n
+    # Bisect the failing chunk for its first bad line: part[:lo] parses and
+    # part[lo:hi] holds a bad line, so at most len(part) lines are parsed again.
+    at, part = bad
+    lo, hi = 0, len(part)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _parse_rows(body[lo:mid], width) is None:
+        if _parse_rows(part[lo:mid], width) is None:
             hi = mid
         else:
             lo = mid
-    toks = body[lo].split()
+    toks = part[lo].split()
     if len(toks) != width:
         raise InstanceParseError(
-            f"line {lo + 2}: expected {width} values, found {len(toks)}")
-    bad = next((t for t in toks if _parse_rows([t], 1) is None), body[lo])
-    raise InstanceParseError(f"line {lo + 2}: could not convert string to float: {bad!r}")
+            f"line {at + lo + 2}: expected {width} values, found {len(toks)}")
+    token = next((t for t in toks if _parse_rows([t], 1) is None), part[lo])
+    raise InstanceParseError(
+        f"line {at + lo + 2}: could not convert string to float: {token!r}")

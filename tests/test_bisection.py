@@ -4,11 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import divmax as dm
 from divmax import bisection
 from divmax.bisection import BisectionResult, min_bisection, star_center
-from divmax.cells import decompose_variable
+from divmax.cells import decompose_variable, lift
+from divmax.compositions import enumerate_compositions, raise_to_total
 from divmax.diversity import balanced_split_masks, cross_values
 from divmax.errors import BudgetExceededError
 
@@ -110,6 +113,11 @@ def test_bisection_large_k_against_local_oracle():
     exact = float(np.einsum("mi,ij,mj->m", masks, dq, 1.0 - masks).min())
     res = min_bisection(inst, T, 0.5)
     assert exact * (1 - 1e-9) <= res.value <= (1 + 0.5) * exact * (1 + 1e-9)
+    # every cell is a singleton: the search scores each split once, with
+    # coordinate 0 pinned to 0, i.e. C(17, 9) of the C(18, 9) vectors
+    assert res.cells_used == 18
+    assert res.provenance["candidates"] == math.comb(17, 9) == 24310
+    assert res.value == pytest.approx(exact, rel=1e-12)
 
 
 def test_bisection_singleton_cells_recover_exact():
@@ -170,9 +178,9 @@ def test_bisection_budget():
     with pytest.raises(BudgetExceededError, match="budget"):
         min_bisection(inst, list(range(8)), 0.3, budget=1)
     # the grid is counted before it is enumerated; 24 points in singleton
-    # cells give one grid vector per subset of at most 12 of them
+    # cells give one grid vector per 12-subset of them without the first
     inst = dm.gen_uniform(200, 2, seed=24)
-    want = sum(math.comb(24, i) for i in range(13))
+    want = math.comb(23, 12)
     with pytest.raises(BudgetExceededError, match=f"^grid budget exceeded: {want} predicted "
                                                   "candidate vectors > budget 100000$"):
         min_bisection(inst, list(range(24)), 0.5, budget=100_000)
@@ -214,6 +222,17 @@ def test_bisection_scale_sandwich(q):
         assert avg <= dp * (2.0 ** q + 1.0) * k / (2.0 * (k - 1)) * (1 + 1e-9)
 
 
+def _rebuilt_grid(inst, T, prov):
+    """The decomposition, the cell of each element of the sorted T, the cell
+    sizes and the grid steps of a ``min_bisection`` run, from its provenance."""
+    base = prov["delta_prime"] ** (1.0 / inst.q)
+    decomp = decompose_variable(inst, sorted(set(T)), prov["z"], base, prov["delta"])
+    label = decomp.label[np.searchsorted(decomp.points, T)]
+    caps = np.bincount(label, minlength=len(decomp.centers))
+    steps = np.maximum(np.floor(prov["grid_frac"] * caps).astype(np.int64), 1)
+    return decomp, label, caps, steps
+
+
 @pytest.mark.parametrize("seed,k,q,eps", [
     (1, 6, 1.0, 0.25), (2, 8, 1.0, 0.5), (3, 6, 2.0, 0.25),
     (4, 10, 1.0, 0.5), (5, 8, 2.0, 0.5),
@@ -225,12 +244,8 @@ def test_bisection_grid_covers_exact_optimum(seed, k, q, eps):
     rng = np.random.default_rng(seed)
     T = sorted(int(i) for i in rng.choice(14, size=k, replace=False))
     res = min_bisection(inst, T, eps)
-    prov = res.provenance
-    base = prov["delta_prime"] ** (1.0 / q)
-    decomp = decompose_variable(inst, sorted(set(T)), prov["z"], base, prov["delta"])
+    decomp, _, caps, steps = _rebuilt_grid(inst, T, res.provenance)
     cells = len(decomp.centers)
-    caps = np.bincount(decomp.label[np.searchsorted(decomp.points, T)], minlength=cells)
-    steps = np.maximum(np.floor(prov["grid_frac"] * caps).astype(np.int64), 1)
 
     # the lexicographically smallest optimal left half
     masks = balanced_split_masks(k)
@@ -243,3 +258,57 @@ def test_bisection_grid_covers_exact_optimum(seed, k, q, eps):
     assert ((mstar - steps < g) & (g <= mstar)).all()
     deficit = k // 2 - int(g.sum())
     assert int(np.minimum(steps, caps - g).sum()) >= deficit >= 0
+
+
+# ------------------------------------------- the grid each search scores
+
+def _at_most_search(inst, T, prov):
+    """Reference search over the whole at-most grid, every row completed by
+    raises and scored, split and complement alike: (left, value, rows, steps)."""
+    elems = sorted(T)
+    half = len(elems) // 2
+    decomp, label, caps, steps = _rebuilt_grid(inst, elems, prov)
+    grid = [range(0, c + 1, s) for c, s in zip(caps.tolist(), steps.tolist())]
+    dq = inst.pow_submatrix(decomp.centers)
+    best, rows = None, 0
+    for block in enumerate_compositions(grid, half, at_most=True):
+        rows += block.shape[0]
+        arr = raise_to_total(block, caps, steps, half).astype(np.float64)
+        for v, row in zip(cross_values(dq, arr, caps - arr).tolist(), arr.tolist()):
+            cand = (v, tuple(int(x) for x in row))  # value, then lexicographic order
+            best = cand if best is None else min(best, cand)
+    pick = min(best[1], tuple(int(c - x) for c, x in zip(caps, best[1])))
+    in_left = np.zeros(len(elems), dtype=bool)
+    in_left[lift(np.arange(len(elems)), label, pick)] = True
+    left, right = np.asarray(elems)[in_left], np.asarray(elems)[~in_left]
+    return tuple(left.tolist()), float(inst.pow_submatrix(left, right).sum()), rows, steps
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 4), min_size=2, max_size=8),
+       st.sampled_from([1.0, 2.0]), st.sampled_from([0.25, 0.5]))
+def test_exact_sum_grid_matches_at_most_search(seed, mult, q, eps):
+    # unit steps: scoring one of each split pair on the exact-sum grid picks
+    # the same split as raising and scoring the whole at-most grid.  Random
+    # points are in general position, so only a split and its complement tie;
+    # between two different splits that tie to the last bit, either may win.
+    k = sum(mult)
+    assume(4 <= k <= 12 and k % 2 == 0 and sum(m > 0 for m in mult) >= 2)
+    inst = dm.gen_uniform(len(mult), 2, seed=seed, q=q)
+    T = [i for i, m in enumerate(mult) for _ in range(m)]
+    res = min_bisection(inst, T, eps)
+    left, value, rows, steps = _at_most_search(inst, T, res.provenance)
+    assert (steps == 1).all()
+    assert res.left == left and res.value == value
+    assert res.provenance["candidates"] <= rows
+
+
+def test_heavy_cell_keeps_the_at_most_grid():
+    # at q = 1 and eps = 0.5 a cell of 96 copies gets step floor(96 / 48) = 2;
+    # the search then counts and scores the raised at-most grid as before
+    inst = dm.gen_uniform(6, 2, seed=7)
+    T = [0] * 96 + [1, 2, 3, 4, 5, 5]
+    res = min_bisection(inst, T, 0.5)
+    left, value, rows, steps = _at_most_search(inst, T, res.provenance)
+    assert steps.max() == 2
+    assert res.provenance["candidates"] == rows
+    assert res.left == left and res.value == value

@@ -1,5 +1,7 @@
 """Distance backends, power distances, diameter estimate, balls, and file I/O."""
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import divmax as dm
+from divmax import metric
 from divmax.errors import InstanceParseError, MetricValidationError
 from divmax.metric import REL_TOL, pairwise_distances, tol_leq
 
@@ -218,7 +221,7 @@ def test_roundtrip_preserves_any_float(tmp_path_factory, xs):
     np.testing.assert_array_equal(dm.load_instance(path).points, inst.points)
 
 
-@pytest.mark.parametrize("text,lineno", [
+PARSE_ERRORS = [
     ("", 1),
     ("triangles 3\n", 1),
     ("points 2 3\n", 1),                       # missing norm token
@@ -236,7 +239,12 @@ def test_roundtrip_preserves_any_float(tmp_path_factory, xs):
     ("matrix 3\n0 1 1\n1 0 1\n1 1\n", 4),     # matrix row of the wrong width
     ("points 2 2 l2\n0 0\n1_0 1\n", 3),       # float() accepts underscores
     ("points 2 2 l2\n0 0\n1 \u0661\n", 3),    # and non-ASCII digits
-])
+    ("points 2 1000000000000 l2\n0 0\n", 2),  # n too large to allocate
+    ("matrix 3000000\n0 1\n", 2),
+]
+
+
+@pytest.mark.parametrize("text,lineno", PARSE_ERRORS)
 def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -244,11 +252,14 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
         dm.load_instance(path)
 
 
-@pytest.mark.parametrize("bad,message", [
+BAD_LINES = [
     ("7", "expected 2 values, found 1"),
     ("", "expected 2 values, found 0"),
     ("7 oops", "could not convert string to float: 'oops'"),
-])
+]
+
+
+@pytest.mark.parametrize("bad,message", BAD_LINES)
 def test_first_bad_line_is_reported_wherever_it_is(tmp_path, bad, message):
     # one bad line at every position, alone or followed by a second bad line
     rows = [f"{i} {i}.5" for i in range(37)]
@@ -264,12 +275,15 @@ def test_first_bad_line_is_reported_wherever_it_is(tmp_path, bad, message):
                 dm.load_instance(path)
 
 
-@pytest.mark.parametrize("text,lineno,token", [
+NON_FINITE = [
     ("points 2 3 l2\n0 0\n1 nan\n2 2\n", 3, "nan"),
     ("points 2 3 l2\n0 0\n1 1\n-Infinity 2\n", 4, "-Infinity"),
     ("matrix 3\n0 1 2\n1 0 NaN\n2 1 0\n", 3, "NaN"),
     ("matrix 2\n0 inf\ninf 0\n", 2, "inf"),
-])
+]
+
+
+@pytest.mark.parametrize("text,lineno,token", NON_FINITE)
 def test_non_finite_values_name_their_line(tmp_path, text, lineno, token):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -300,6 +314,30 @@ def test_trailing_blank_lines_are_fine(tmp_path):
     path = tmp_path / "ok.txt"
     path.write_text("points 1 2 l2\n0.0\n1.0\n\n\n")
     assert dm.load_instance(path).n == 2
+
+
+def test_loader_cases_in_two_character_chunks(tmp_path):
+    # each read of 2 characters is completed to one line, so every line is a
+    # chunk of its own: rows, counts and errors must not depend on chunking
+    with mock.patch.object(metric, "LOAD_CHUNK_CHARS", 2):
+        test_roundtrip_points(tmp_path)
+        test_roundtrip_matrix(tmp_path)
+        for case in PARSE_ERRORS:
+            test_parse_errors_carry_line_numbers(tmp_path, *case)
+        for case in BAD_LINES:
+            test_first_bad_line_is_reported_wherever_it_is(tmp_path, *case)
+        for case in NON_FINITE:
+            test_non_finite_values_name_their_line(tmp_path, *case)
+        test_load_matches_per_token_float(tmp_path)
+        test_trailing_blank_lines_are_fine(tmp_path)
+
+
+def test_load_from_a_pipe():
+    # a pipe has no file size to bound n by, so its rows are read as usual
+    r, w = os.pipe()
+    os.write(w, b"points 1 3 l2\n0\n1\n2\n")
+    os.close(w)
+    np.testing.assert_array_equal(dm.load_instance(r).points, [[0.0], [1.0], [2.0]])
 
 
 # ------------------------------------------- power-distance inequalities

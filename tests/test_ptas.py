@@ -119,6 +119,18 @@ def test_raise_to_total_matches_row_loop(data):
     assert [tuple(int(x) for x in r) for r in got] == want
 
 
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_value_list, st.integers(1, 4)), max_size=3),
+       st.integers(0, 8), st.booleans(), st.randoms(use_true_random=False))
+def test_count_equals_rows_enumerated_with_repeated_lists(lists, total, at_most, rnd):
+    # the count raises each distinct value list to its multiplicity, so draw
+    # lists that repeat, in shuffled coordinate order
+    values = [v for v, times in lists for _ in range(times)]
+    rnd.shuffle(values)
+    rows = sum(b.shape[0] for b in enumerate_compositions(values, total, at_most=at_most))
+    assert count_compositions(values, total, at_most=at_most) == rows
+
+
 def test_count_compositions_is_exact_past_int64():
     # 100 split over 60 parts, each part up to 100: stars and bars
     assert count_compositions([range(101)] * 60, 100) == math.comb(159, 59) > 2 ** 63
