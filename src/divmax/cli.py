@@ -212,7 +212,8 @@ def cmd_solve(args) -> int:
     elif args.algo == "ptas":
         m = sol.meta
         print(f"# guesses: {m['guesses']} planned, {m['repeats']} repeats, "
-              f"{m['dominated']} dominated, {m['scored']} scored; {m['candidates']} candidates"
+              f"{m['dominated']} dominated, {m['scored']} scored ({m['exact']} exact); "
+              f"{m['candidates']} candidates"
               f" = {m['candidates'] / math.comb(inst.n, args.k):.2f} x C({inst.n},{args.k})")
     return EXIT_OK
 

@@ -11,7 +11,9 @@ the guessed scale, rounding changes any candidate's value by at most an eps
 fraction of the optimum, which yields the (1 - eps) guarantee.  Once every
 cell is a singleton, rounding is the identity and such guesses pose one
 exact problem, so each rounded problem is scored once: a run whose cells are
-all singletons costs one enumeration of C(n, k) rows.
+all singletons costs one search of C(n, k) subsets.  Such a guess is
+searched by the brute-force oracle's screened subset engine (its k-subsets
+that hold the outliers), not as count rows with one column per cell.
 """
 from __future__ import annotations
 
@@ -86,7 +88,8 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     candidates; equal-value solutions keep the first one encountered.  A guess
     with the same outliers and cell labels as an earlier one poses the same
     problem and is dropped.  A guess whose cells are all singletons rounds
-    nothing, so it scores every k-subset that contains its outliers exactly.
+    nothing, so it scores every k-subset that contains its outliers exactly,
+    with the oracle's screened search (``meta["exact"]`` counts these).
     Any other guess whose outliers contain those lifts only to such subsets,
     so it is dominated and dropped without changing the best value; only a
     bit-exact tie between distinct subsets could change the one returned.
@@ -109,7 +112,7 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
         subset = tuple(range(k))
         return Solution(subset, 0.0, "ptas", guess=(0, 0.0),
                         meta=dict.fromkeys(("guesses", "repeats", "dominated", "scored",
-                                            "candidates", "max_cells"), 0))
+                                            "exact", "candidates", "max_cells"), 0))
     q = inst.q
     cell_scale = eps / 2.0 ** (q + 3)
     ball_coeff = GUESS_SLACK * OUTLIER_RADIUS_COEFF[obj.kind]
@@ -139,7 +142,8 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
                            for size in np.bincount(decomp.label).tolist()]
                 plan.append((s, z0, decomp, outliers, choices, k - int(outliers.size)))
     repeats = guesses - len(plan)
-    if obj.kind != "bipartition" or k <= EXACT_BIPARTITION_CAP:
+    exact_ok = obj.kind != "bipartition" or k <= EXACT_BIPARTITION_CAP
+    if exact_ok:
         floors = [(i, set(g[3].tolist())) for i, g in enumerate(plan)
                   if len(g[2].centers) == g[2].points.size]
         plan = [g for i, g in enumerate(plan)
@@ -154,24 +158,34 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
                 f"candidate budget exceeded: {evaluated} predicted candidates > "
                 f"budget {budget} (scale {s!r}, center {z0})")
 
+    from .baselines import _best_subset  # baselines imports Solution from here
+
     best: Solution | None = None
+    exact = 0
     for s, z0, decomp, outliers, choices, total in plan:
         ext = list(decomp.centers) + outliers.tolist()
         dq = inst.pow_submatrix(ext)
-        # Called through the module global, so a wrapper installed on
-        # ``ptas.enumerate_compositions`` sees every block.
-        best_rounded, best_counts = -np.inf, None
-        for counts in enumerate_compositions(choices, total):
-            vals = _rounded_values(inst, obj, ext, dq, counts, eps)
-            i = int(vals.argmax())
-            if best_counts is None or vals[i] > best_rounded:
-                best_rounded, best_counts = vals[i], counts[i]
-        lifted = lift(decomp.points, decomp.label, best_counts)
-        pre = tuple(np.sort(np.concatenate([lifted, outliers])).tolist())
+        if exact_ok and len(decomp.centers) == decomp.points.size:
+            # rounding is the identity: search the k-subsets holding the outliers
+            exact += 1
+            row = _best_subset(obj.kind, dq, k, fixed=outliers.size)[0]
+            pre = tuple(sorted(ext[i] for i in row.tolist()))
+        else:
+            # Called through the module global, so a wrapper installed on
+            # ``ptas.enumerate_compositions`` sees every block.
+            best_rounded, best_counts = -np.inf, None
+            for counts in enumerate_compositions(choices, total):
+                vals = _rounded_values(inst, obj, ext, dq, counts, eps)
+                i = int(vals.argmax())
+                if best_counts is None or vals[i] > best_rounded:
+                    best_rounded, best_counts = vals[i], counts[i]
+            lifted = lift(decomp.points, decomp.label, best_counts)
+            pre = tuple(np.sort(np.concatenate([lifted, outliers])).tolist())
         val = evaluate(inst, obj, pre, eps=eps)
         if best is None or val > best.value:
             best = Solution(pre, val, "ptas", guess=(z0, float(s) ** q))
     assert best is not None
     best.meta.update(guesses=guesses, repeats=repeats, dominated=dominated,
-                     scored=len(plan), candidates=evaluated, max_cells=max_cells)
+                     scored=len(plan), exact=exact, candidates=evaluated,
+                     max_cells=max_cells)
     return best

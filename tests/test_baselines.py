@@ -2,12 +2,16 @@
 import math
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divmax as dm
-from divmax.baselines import brute_force_opt, greedy_clique
+from divmax import baselines
+from divmax.baselines import _best_subset, brute_force_opt, greedy_clique
 from divmax.bisection import star_center
 from divmax.diversity import batch_evaluate
 from divmax.errors import EnumerationCapError
@@ -139,6 +143,66 @@ def test_brute_memory_does_not_grow_with_subset_count():
         tracemalloc.stop()
     assert sol.meta["subsets"] == 1562275
     assert peak < 40e6
+
+
+def test_brute_bipartition_split_weights_stay_bounded():
+    # C(20, 16) = 4845 subsets over C(15, 7) = 6435 balanced splits: a whole
+    # (15^2, 6435) split table would take 11.6 MB (a 15.5 MB peak); weights
+    # taken _BLOCK entries at a time keep the peak under the 5.8 MB that
+    # scoring every subset with batch_evaluate took, plus slack
+    inst = dm.gen_uniform(20, 2, seed=1)
+    obj = dm.Objective("bipartition")
+    inst.pow_matrix()
+    tracemalloc.start()
+    try:
+        sol = brute_force_opt(inst, obj, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.8e6 + 1e6
+    with mock.patch.object(baselines, "_BLOCK", 1 << 22):  # one chunk of splits
+        whole = brute_force_opt(inst, obj, 16)
+    assert (sol.subset, sol.value.hex()) == (whole.subset, whole.value.hex())
+    assert sol.subset == (0, 1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15, 17, 18, 19)
+
+
+@st.composite
+def subset_searches(draw):
+    kind = draw(st.sampled_from(("clique", "star", "bipartition")))
+    k = draw(st.integers(1, 4)) * 2 if kind == "bipartition" else draw(st.integers(2, 8))
+    n = k + draw(st.integers(0, 4))  # n == k: the pool is the whole free part
+    fixed = draw(st.integers(0, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):  # small integer coordinates: many ties
+        pts = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+    else:
+        pts = rng.uniform(size=(n, 2))
+    norm = draw(st.sampled_from(("l1", "l2", "linf")))
+    dq = dm.MetricInstance.from_points(pts, norm=norm, q=draw(st.sampled_from((1.0, 2.0))))
+    dq = dq.pow_matrix()
+    if draw(st.booleans()):  # asymmetric: nothing screened, every row rescored
+        dq = dq + np.triu(rng.uniform(size=(n, n)), 1)
+    return kind, dq, k, fixed, draw(st.sampled_from((1, 5, 64, 1 << 16)))
+
+
+@settings(max_examples=300)
+@given(subset_searches())
+def test_best_subset_matches_combinations(case):
+    # rows list the fixed positions, then a combination of the pool; the
+    # first maximum of batch_evaluate over all of them, in that order, wins.
+    # Small blocks split the prefix lists and the bipartition split weights
+    kind, dq, k, fixed, block = case
+    m = len(dq) - fixed
+    rows = np.array([tuple(range(m, len(dq))) + c for c in combinations(range(m), k - fixed)],
+                    dtype=np.int64).reshape(-1, k)
+    want = batch_evaluate(kind, dq, rows)
+    i = int(want.argmax())
+    with mock.patch.object(baselines, "_BLOCK", block):
+        row, value, rescored = _best_subset(kind, dq, k, fixed)
+    assert (row.tolist(), value.hex()) == (rows[i].tolist(), want[i].hex())
+    assert 1 <= rescored <= len(rows)
+    if not np.array_equal(dq, dq.T):
+        assert rescored == len(rows)
 
 
 @pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))

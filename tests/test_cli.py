@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, RESULT lines, generation, benchmarks."""
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,12 +73,31 @@ def test_solve_ptas_guesses_line(capsys, tmp_path):
     assert m["guesses"] == m["repeats"] + m["dominated"] + m["scored"]
     assert m["candidates"] == math.comb(12, 4)
     want = (f"# guesses: {m['guesses']} planned, {m['repeats']} repeats, "
-            f"{m['dominated']} dominated, {m['scored']} scored; "
+            f"{m['dominated']} dominated, {m['scored']} scored ({m['exact']} exact); "
             f"{m['candidates']} candidates = 1.00 x C(12,4)")
     assert want in out.splitlines()
     line = result_line(out)
     assert f"candidates={m['candidates']} " in line
     assert "repeats" not in line and "dominated" not in line and "scored" not in line
+    assert "exact" not in line
+
+
+def test_solve_ptas_guesses_line_counts_exact_searches(capsys, tmp_path):
+    # three tight clusters share cells at the coarse guesses, so only some
+    # scored guesses have all-singleton cells and take the exact subset search
+    path = str(tmp_path / "c.txt")
+    inst = dm.gen_clustered(10, 0.05, [[3.0, 0.0], [0.0, 3.0], [-2.5, -2.5]], seed=2)
+    dm.save_instance(inst, path)
+    code, out, _ = run(capsys, ["solve", "--in", path, "--objective", "clique", "--k", "4",
+                                "--algo", "ptas", "--eps", "0.25"])
+    assert code == 0
+    m = dm.solve(dm.load_instance(path), dm.Objective("clique"), 4, 0.25).meta
+    assert 0 < m["exact"] < m["scored"]
+    guesses = [line for line in out.splitlines() if line.startswith("# guesses: ")]
+    assert len(guesses) == 1
+    assert f", {m['scored']} scored ({m['exact']} exact); {m['candidates']} candidates" \
+        in guesses[0]
+    assert "exact" not in result_line(out)
 
 
 def test_solve_brute_force_line(capsys, tmp_path):
@@ -261,7 +281,7 @@ def test_gen_is_byte_deterministic(capsys, tmp_path):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     run(capsys, ["gen", "uniform", "--n", "9", "--seed", "2", "--out", a])
     run(capsys, ["gen", "uniform", "--n", "9", "--seed", "2", "--out", b])
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_gen_clustered(capsys, tmp_path):
@@ -320,7 +340,7 @@ def test_bench_ratios_with_fixture_dir(capsys, tmp_path):
     code, out, err = run(capsys, ["bench", "--suite", "ratios", "--fixtures",
                                   str(fixdir), "--eps", "0.4", "--out", out_path])
     assert code == 0, err
-    body = open(out_path).read()
+    body = Path(out_path).read_text()
     assert body.splitlines()[1].startswith("fixture\talgo")
     rows = [l for l in body.splitlines() if l.startswith("tiny.txt")]
     kinds = {r.split("\t")[2] for r in rows}

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
-from divmax import compositions, ptas
+from divmax import baselines, compositions, ptas
 from divmax.compositions import count_compositions, raise_to_total
 from divmax.errors import BudgetExceededError
 from divmax.metric import diameter_estimate, tol_leq
+from divmax.diversity import values
 from divmax.ptas import (GUESS_SLACK, OUTLIER_RADIUS_COEFF, build_guess_grid,
                          enumerate_compositions, solve)
 
@@ -140,6 +141,9 @@ def test_count_compositions_is_exact_past_int64():
 
 # -------------------------------------------------------------------- solve
 
+_C3 = [[3.0, 0.0], [0.0, 3.0], [-2.5, -2.5]]
+
+
 def test_solve_square_all_objectives(square_center):
     for kind in ("clique", "star", "bipartition"):
         obj = dm.Objective(kind)
@@ -236,48 +240,69 @@ def test_solve_budget_checked_before_any_enumeration():
 
 
 def test_solve_budget_is_the_deduplicated_count():
-    # the budget bounds the rows actually scored: exactly that many passes,
-    # and the enumeration yields exactly that many rows
-    inst = dm.gen_uniform(10, 2, seed=5)
-    obj = dm.Objective("clique")
-    sol = solve(inst, obj, 4, 0.4)
-    need = sol.meta["candidates"]
-    assert sol.meta["repeats"] + sol.meta["dominated"] > 0
-    rows = []
+    # the budget bounds the rows actually scored: exactly that many passes.
+    # Count-row guesses enumerate their rows; each all-singleton guess
+    # searches the C(cells, k - outliers) subsets that hold its outliers.
+    # The uniform run has only the second kind, the clustered run both
+    best_subset = baselines._best_subset
+    for inst, k, eps in ((dm.gen_uniform(10, 2, seed=5), 4, 0.4),
+                         (dm.gen_clustered(10, 0.05, _C3, seed=2), 4, 0.25)):
+        obj = dm.Objective("clique")
+        sol = solve(inst, obj, k, eps)
+        need = sol.meta["candidates"]
+        assert sol.meta["repeats"] + sol.meta["dominated"] > 0
+        rows, searched = [], []
 
-    def counting(*args, **kwargs):
-        for block in compositions.enumerate_compositions(*args, **kwargs):
-            rows.append(block.shape[0])
-            yield block
+        def counting(*args, **kwargs):
+            for block in compositions.enumerate_compositions(*args, **kwargs):
+                rows.append(block.shape[0])
+                yield block
 
-    with mock.patch.object(ptas, "enumerate_compositions", counting):
-        again = solve(inst, obj, 4, 0.4, budget=need)
-    assert sum(rows) == need
-    assert (again.subset, again.value, again.meta) == (sol.subset, sol.value, sol.meta)
+        def searching(kind, dq, k, fixed=0):
+            searched.append(math.comb(len(dq) - fixed, k - fixed))
+            return best_subset(kind, dq, k, fixed)
+
+        with mock.patch.object(ptas, "enumerate_compositions", counting), \
+                mock.patch.object(baselines, "_best_subset", searching):
+            again = solve(inst, obj, k, eps, budget=need)
+        assert len(searched) == sol.meta["exact"] > 0
+        assert bool(rows) == (sol.meta["exact"] < sol.meta["scored"])
+        assert sum(rows) + sum(searched) == need
+        assert (again.subset, again.value, again.meta) == (sol.subset, sol.value, sol.meta)
 
 
 def test_solve_fetches_each_scored_distance_block_once():
-    # C(20, 6) = 38760 rows take two enumeration blocks on a singleton guess;
-    # every block of a guess is scored on the one d^q block fetched for it
-    inst = dm.gen_uniform(20, 2, seed=2)
-    fetched, scored_on = [], []
+    # the uniform run's one singleton guess rescores the near-best of its
+    # C(20, 6) = 38760 subsets in several blocks; the clustered run adds
+    # count-row guesses.  Every block of a guess is scored on the one d^q
+    # block fetched for it
     pow_submatrix, values = dm.MetricInstance.pow_submatrix, ptas.values
+    batch_evaluate = baselines.batch_evaluate
+    for inst, q, k, several in (
+            (dm.gen_uniform(20, 2, seed=2), 1.0, 6, True),
+            (dm.gen_clustered(14, 0.1, [[2.0, 0.0]], seed=5, q=2.0), 2.0, 5, False)):
+        fetched, scored_on = [], []
 
-    def fetch(self, *args):
-        fetched.append(pow_submatrix(self, *args))
-        return fetched[-1]
+        def fetch(self, *args):
+            fetched.append(pow_submatrix(self, *args))
+            return fetched[-1]
 
-    def score(kind, dq, counts):
-        scored_on.append(dq)
-        return values(kind, dq, counts)
+        def score(kind, dq, counts):
+            scored_on.append(dq)
+            return values(kind, dq, counts)
 
-    with mock.patch.object(dm.MetricInstance, "pow_submatrix", fetch), \
-            mock.patch.object(ptas, "values", score):
-        sol = solve(inst, dm.Objective("clique"), 6, 0.5)
-    blocks = {id(dq) for dq in scored_on}  # all kept alive, so ids are distinct
-    assert len(scored_on) > sol.meta["scored"]
-    assert len(blocks) == sol.meta["scored"]
-    assert blocks <= {id(dq) for dq in fetched}
+        def rescore(kind, dq, rows):
+            scored_on.append(dq)
+            return batch_evaluate(kind, dq, rows)
+
+        with mock.patch.object(dm.MetricInstance, "pow_submatrix", fetch), \
+                mock.patch.object(ptas, "values", score), \
+                mock.patch.object(baselines, "batch_evaluate", rescore):
+            sol = solve(inst, dm.Objective("clique", q), k, 0.5)
+        blocks = {id(dq) for dq in scored_on}  # all kept alive, so ids are distinct
+        assert 0 < sol.meta["exact"] and (len(scored_on) > sol.meta["scored"] or not several)
+        assert len(blocks) == sol.meta["scored"]
+        assert blocks <= {id(dq) for dq in fetched}
 
 
 def _spaced(seed: int, n: int, gap: float) -> dm.MetricInstance:
@@ -304,7 +329,47 @@ def test_solve_singleton_cells_cost_one_enumeration(kind):
     assert sol.value == opt.value and sol.subset == opt.subset
 
 
-_C3 = [[3.0, 0.0], [0.0, 3.0], [-2.5, -2.5]]
+
+def _count_row_search(kind, dq, k, fixed=0):
+    """The count-row search of an all-singleton guess: every 0/1 row over the
+    pool with the ``fixed`` last positions appended, scored by ``values``;
+    the first maximum wins."""
+    m = len(dq) - fixed
+    best, best_row = -np.inf, None
+    for counts in enumerate_compositions([[1, 0]] * m, k - fixed):
+        full = np.hstack([counts, np.ones((len(counts), fixed), np.int64)])
+        vals = values(kind, dq, full)
+        i = int(vals.argmax())
+        if best_row is None or vals[i] > best:
+            best, best_row = vals[i], np.flatnonzero(full[i])
+    return best_row, best, 0
+
+
+@pytest.mark.parametrize("far", range(4))
+@pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))
+def test_solve_singleton_guesses_match_count_rows(kind, far):
+    # points 400 away are outliers of every guess small enough to leave the
+    # 0.1-spaced points in singleton cells, so the subset search of such a
+    # guess holds `far` fixed positions; it must pick what count rows pick
+    ang = 2.0 * np.pi * np.arange(far) / 4
+    pts = np.vstack([_spaced(far, 12, 0.1).points, 400.0 * np.c_[np.cos(ang), np.sin(ang)]])
+    inst = dm.MetricInstance.from_points(pts, q=2.0)
+    obj, k = dm.Objective(kind, 2.0), 6 if kind == "bipartition" else 5
+    best_subset, held = baselines._best_subset, []
+
+    def search(kind, dq, k, fixed=0):
+        held.append(fixed)
+        got, want = best_subset(kind, dq, k, fixed), _count_row_search(kind, dq, k, fixed)
+        assert sorted(got[0].tolist()) == want[0].tolist()
+        return got
+
+    with mock.patch.object(baselines, "_best_subset", search):
+        sol = solve(inst, obj, k, 0.25)
+    with mock.patch.object(baselines, "_best_subset", _count_row_search):
+        ref = solve(inst, obj, k, 0.25)
+    assert held == [far] and sol.meta["exact"] == 1
+    assert (sol.subset, sol.value.hex(), sol.meta) == (ref.subset, ref.value.hex(), ref.meta)
+
 
 # subset and value as returned before repeats and dominated guesses were
 # dropped; candidates are the rows scored now, with the former count after #
@@ -371,4 +436,4 @@ def test_solve_all_coincident():
     sol = solve(inst, dm.Objective("clique"), 3, 0.5)
     assert sol.subset == (0, 1, 2) and sol.value == 0.0
     assert sol.meta == {"guesses": 0, "repeats": 0, "dominated": 0, "scored": 0,
-                        "candidates": 0, "max_cells": 0}
+                        "exact": 0, "candidates": 0, "max_cells": 0}
