@@ -8,7 +8,7 @@ from .baselines import brute_force_opt, greedy_clique
 from .bisection import BisectionResult, min_bisection, star_center
 from .cells import CellDecomposition, decompose_fixed, decompose_variable
 from .diversity import (EXACT_BIPARTITION_CAP, MULTISET_SPLIT_CAP, Objective,
-                        centroid_clique_identity, evaluate)
+                        Solution, centroid_clique_identity, evaluate)
 from .errors import (BudgetExceededError, EnumerationCapError,
                      InstanceParseError, MetricValidationError)
 from .fast_clique import multiplicity_ladder, solve_fast
@@ -17,7 +17,7 @@ from .instances import (KSumInstance, ReductionVerdict, gen_clustered,
                         verify_reduction, zero_sum_subset_exists)
 from .metric import (MetricInstance, diameter_estimate, load_instance,
                      save_instance)
-from .ptas import Solution, build_guess_grid, enumerate_compositions, solve
+from .ptas import build_guess_grid, enumerate_compositions, solve
 
 __version__ = "0.1.0"
 

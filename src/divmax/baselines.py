@@ -5,11 +5,10 @@ import math
 
 import numpy as np
 
-from .diversity import (EXACT_BIPARTITION_CAP, Objective, balanced_split_masks,
-                        batch_evaluate, evaluate)
+from .diversity import (EXACT_BIPARTITION_CAP, Objective, Solution,
+                        balanced_split_masks, batch_evaluate, evaluate)
 from .errors import EnumerationCapError
 from .metric import MetricInstance
-from .ptas import Solution
 
 DEFAULT_ENUM_CAP = 2_000_000
 

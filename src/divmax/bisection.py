@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import decompose_variable, lift
-from .compositions import count_compositions, enumerate_compositions, raise_to_total
+from .compositions import (count_compositions, enumerate_compositions, first_best,
+                           raise_to_total)
 from .diversity import cross_values, values
 from .errors import BudgetExceededError
 from .metric import MetricInstance, check_indices
@@ -91,9 +92,10 @@ def min_bisection(inst: MetricInstance, T, eps: float,
 
     grid = [range(0, int(c) + 1, int(st)) for c, st in zip(caps, steps)]
     # With unit steps the grid holds every count vector in [0, caps] that sums
-    # to k/2, which the raises below would only re-derive with duplicates, so
-    # enumerate those vectors directly; a split's complement flips coordinate
-    # 0 to caps[0] - x, so keeping x <= caps[0] // 2 scores one of each pair.
+    # to k/2, so raises are skipped, and lexicographic order makes the first
+    # best the smallest; a split's complement flips coordinate 0 to
+    # caps[0] - x, so keeping x <= caps[0] // 2 scores one of each pair.
+    # Other grids are raised to k/2; the first best in grid order wins.
     at_most = bool((steps > 1).any())
     if not at_most:
         grid[0] = range(0, int(caps[0]) // 2 + 1)
@@ -103,26 +105,14 @@ def min_bisection(inst: MetricInstance, T, eps: float,
             f"grid budget exceeded: {counted} predicted candidate vectors > budget {budget}")
     dq_c = inst.pow_submatrix(decomp.centers)
     m_full = caps.astype(np.float64)
-    vmin, pick = np.inf, None
-    for block in enumerate_compositions(grid, half, at_most=at_most):
-        # complete each grid vector to exactly k/2 by bounded raises (rows of
-        # the exact-sum grid pass through unchanged)
-        arr = raise_to_total(block, caps, steps, half).astype(np.float64)
-        if not arr.shape[0]:
-            continue
-        fvals = cross_values(dq_c, arr, m_full - arr)
-        low = float(fvals.min())
-        if low > vmin:
-            continue
-        ties = arr[fvals <= low]
-        # among exact ties the lexicographically smallest vector wins
-        first = tuple(int(x) for x in ties[np.lexsort(ties.T[::-1])[0]])
-        pick = first if low < vmin else min(pick, first)
-        vmin = low
+    blocks = enumerate_compositions(grid, half, at_most=at_most)
+    if at_most:
+        blocks = (raise_to_total(block, caps, steps, half) for block in blocks)
+    pick, _ = first_best(blocks, lambda b: -cross_values(dq_c, b.astype(np.float64), m_full - b))
 
     # a split and its complement tie exactly; choose between them by order,
     # not by the last bit of their computed values
-    pick = min(pick, tuple(m - p for m, p in zip(caps.tolist(), pick)))
+    pick = min(tuple(pick.tolist()), tuple((caps - pick).tolist()))
     in_left = np.zeros(k, dtype=bool)
     in_left[lift(np.arange(k), label, pick)] = True
     left, right = np.asarray(elems)[in_left], np.asarray(elems)[~in_left]

@@ -183,7 +183,8 @@ def cmd_solve(args) -> int:
     oracle = ratio = None
     opt = sol if args.algo == "brute" else None
     if args.oracle:
-        opt = brute_force_opt(inst, obj, args.k)
+        if opt is None:
+            opt = brute_force_opt(inst, obj, args.k)
         oracle = opt.value
         ratio = sol.value / oracle if oracle else 1.0
         if ratio > 1.0 + 1e-9:
@@ -255,16 +256,18 @@ def cmd_gen(args) -> int:
         inst = gen_ksum_reduction(ks)
         desc = f"ksum m={args.m} k={args.k} t={args.t}"
     else:
-        rng = np.random.default_rng(args.seed)
-        adj = rng.uniform(size=(args.n, args.n)) < args.p
-        adj = np.triu(adj, 1)
-        adj = adj | adj.T
-        inst = gen_graph_12metric(adj)
+        inst = _random_graph12(args.n, args.p, args.seed)
         desc = f"graph12 n={args.n} p={fmt9(args.p)} seed={args.seed}"
     save_instance(inst, args.out)
     print(f"RESULT cmd=gen kind={args.kind} n={inst.n} out={args.out}")
     print(f"# wrote {args.out}: {desc}")
     return EXIT_OK
+
+
+def _random_graph12(n: int, p: float, seed: int) -> MetricInstance:
+    """The 1-2 metric of a seeded random graph with edge probability p."""
+    adj = np.triu(np.random.default_rng(seed).uniform(size=(n, n)) < p, 1)
+    return gen_graph_12metric(adj | adj.T)
 
 
 def _scaling_instance(n: int, seed: int) -> MetricInstance:
@@ -324,17 +327,12 @@ def _ratio_fixtures(args) -> list[tuple[str, MetricInstance]]:
                 f"fixture directory {args.fixtures!r} holds no .txt instance files")
         return [(name, load_instance(os.path.join(args.fixtures, name)))
                 for name in names]
-    fixtures = [
+    return [
         ("uniform-12-a", gen_uniform(12, 2, seed=41)),
         ("uniform-12-b", gen_uniform(12, 3, seed=42)),
         ("clustered-12", gen_clustered(9, 0.02, [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], seed=43)),
+        ("graph12-10", _random_graph12(10, 0.4, seed=44)),
     ]
-    rng = np.random.default_rng(44)
-    adj = rng.uniform(size=(10, 10)) < 0.4
-    adj = np.triu(adj, 1)
-    adj = adj | adj.T
-    fixtures.append(("graph12-10", gen_graph_12metric(adj)))
-    return fixtures
 
 
 def _bench_ratios(args) -> int:

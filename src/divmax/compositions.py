@@ -6,7 +6,8 @@ coordinate varies slowest and runs through ``values[0]`` in its given order.
 Each block unranks a range of row numbers against exact completion counts.
 ``count_compositions`` gives the number of rows before anything is allocated,
 from a product of one polynomial per distinct value list.
-``raise_to_total`` completes a block of such rows to an exact sum.
+``raise_to_total`` completes a block of such rows to an exact sum, and
+``first_best`` finds the first row of best score over any such blocks.
 """
 from __future__ import annotations
 
@@ -117,3 +118,18 @@ def raise_to_total(block: np.ndarray, caps, raises, total: int) -> np.ndarray:
         block[:, i] += add
         deficit -= add
     return block[deficit == 0]
+
+
+def first_best(blocks, score):
+    """The first row with the largest ``score`` over an iterable of row blocks,
+    and that score; ``score`` maps a nonempty block to one value per row.
+    Empty blocks are skipped; ``(None, -inf)`` when no block holds a row.
+    The row is a copy, so no block outlives its turn."""
+    best, best_row = -np.inf, None
+    for block in blocks:
+        if len(block):
+            vals = score(block)
+            i = int(vals.argmax())
+            if best_row is None or vals[i] > best:
+                best, best_row = vals[i], block[i].copy()
+    return best_row, best

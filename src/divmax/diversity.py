@@ -15,17 +15,16 @@ each has one evaluator.  Index rows (``batch_evaluate``) list a candidate's
 points as positions into ``dq``, repeats being coincident copies; the
 brute-force oracle uses them.  Count rows (``values``) give a multiplicity
 for every position of ``dq``; the solvers' multiplicity vectors over cell
-centers use them, the fast clique scheme's ladder leaves included.
+centers are scored through ``values`` and searched by ``first_best``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .compositions import enumerate_compositions
+from .compositions import enumerate_compositions, first_best
 from .errors import EnumerationCapError
 from .metric import MetricInstance, check_indices
 
@@ -53,6 +52,17 @@ class Objective:
             raise ValueError(f"exponent q must be >= 1, got {self.q}")
 
 
+@dataclass
+class Solution:
+    """A k-subset with its re-checked objective value and solver provenance."""
+
+    subset: tuple[int, ...]
+    value: float
+    algo: str
+    guess: tuple[int, float] | None = None  # (z0 candidate, guessed average value)
+    meta: dict = field(default_factory=dict)
+
+
 @lru_cache(maxsize=64)
 def balanced_split_masks(k: int) -> np.ndarray:
     """Indicator rows for every balanced split of k slots with slot 0 pinned left.
@@ -63,13 +73,8 @@ def balanced_split_masks(k: int) -> np.ndarray:
     """
     if k < 2 or k % 2:
         raise ValueError(f"balanced splits need even k >= 2, got {k}")
-    rows = []
-    for rest in combinations(range(1, k), k // 2 - 1):
-        mask = np.zeros(k, dtype=np.float64)
-        mask[0] = 1.0
-        mask[list(rest)] = 1.0
-        rows.append(mask)
-    return np.array(rows)
+    return np.vstack(list(enumerate_compositions([[1]] + [[1, 0]] * (k - 1), k // 2)),
+                     dtype=np.float64)
 
 
 def evaluate(inst: MetricInstance, obj: Objective, subset, *, eps: float | None = None) -> float:
@@ -95,13 +100,13 @@ def evaluate(inst: MetricInstance, obj: Objective, subset, *, eps: float | None 
         return float(batch_evaluate(obj.kind, inst.pow_submatrix(idx), np.arange(k)[None, :])[0])
     support, mult = np.unique(idx, return_counts=True)
     if support.size <= MULTISET_SPLIT_CAP:
-        # every per-point left count vector 0 <= l <= mult with sum(l) = k / 2
+        # every per-point left count vector 0 <= l <= mult with sum(l) = k / 2;
+        # negation is exact, so the best negated weight is the minimum's bits
         d = inst.pow_submatrix(support)
-        best = np.inf
-        for block in enumerate_compositions([range(m + 1) for m in mult.tolist()], k // 2):
-            left = block.astype(np.float64)
-            best = min(best, float(cross_values(d, left, mult - left).min()))
-        return best
+        _, best = first_best(
+            enumerate_compositions([range(m + 1) for m in mult.tolist()], k // 2),
+            lambda left: -cross_values(d, left.astype(np.float64), mult - left))
+        return -float(best)
     if eps is None:
         raise EnumerationCapError(
             f"bipartition of {k} elements on {support.size} distinct points exceeds the "

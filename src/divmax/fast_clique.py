@@ -7,7 +7,7 @@ cells fully outside an enlarged ball are forced into the solution at full
 multiplicity, and multiplicities inside the ball are drawn from short
 geometric ladders rather than full ranges.  Candidate vectors are completed
 to exactly k points and scored as count rows over the inside cells, with the
-outside contribution cached.
+outside cells appended at full multiplicity.
 
 The ladder grid is counted before anything is built.  A grid of at most
 ``budget`` rows is searched whole, which backs the 1 - 8 eps guarantee.  A
@@ -23,10 +23,10 @@ import numpy as np
 
 from .baselines import greedy_clique
 from .cells import CellDecomposition, decompose_fixed, lift
-from .compositions import count_compositions, enumerate_compositions, raise_to_total
-from .diversity import Objective, evaluate, values
+from .compositions import (count_compositions, enumerate_compositions, first_best,
+                           raise_to_total)
+from .diversity import Objective, Solution, evaluate, values
 from .metric import REL_TOL, MetricInstance, tol_leq
-from .ptas import Solution
 
 CELL_FRACTION = 8.0        # cell radius = (eps / 8) * estimated average
 CENTER_BALL_COEFF = 5.0    # z0' must exclude < k/2 points at this radius
@@ -73,15 +73,15 @@ def _local_search(inst: MetricInstance, subset) -> tuple[tuple[int, ...], int]:
     (point, position) order among equal gains, while the gain exceeds
     ``REL_TOL`` of the current value.  Returns the subset and the swap count.
     """
-    everyone = np.arange(inst.n)
     chosen = np.array(subset, dtype=np.int64)
-    cols = inst.pow_submatrix(everyone, chosen)  # d(v, chosen[j])
-    sums = cols.sum(axis=1)                      # total distance from v to the set
+    cols = np.column_stack([inst.dists_from(int(c)) for c in chosen])  # d(v, chosen[j])
+    sums = cols.sum(axis=1)  # total distance from v to the set
     value = float(sums[chosen].sum()) / 2.0
     swaps = 0
     while True:
         # gain of putting v in place of chosen[j]
-        gain = sums[:, None] - cols - sums[chosen][None, :]
+        gain = sums[:, None] - cols
+        gain -= sums[chosen]
         gain[chosen] = -np.inf
         v, j = np.unravel_index(int(gain.argmax()), gain.shape)
         if not gain[v, j] > REL_TOL * value:
@@ -129,9 +129,7 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     inside = np.bincount(decomp.label, weights=near[decomp.points]) > 0
     sizes = np.bincount(decomp.label)
     centers = np.asarray(decomp.centers, dtype=np.int64)
-    inside_cells, outside_cells = centers[inside], centers[~inside]
-
-    out_mult = sizes[~inside].astype(np.float64)
+    out_mult = sizes[~inside]
     fixed = int(out_mult.sum())
     free_k = k - fixed
     assert free_k > 0 or fixed == k
@@ -141,7 +139,7 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     predicted = count_compositions(ladders, free_k, at_most=True)
     meta = {"search_complete": predicted <= budget, "candidates": 0,
             "predicted_candidates": predicted, "budget": budget, "swaps": 0,
-            "cells": len(decomp.centers), "cells_searched": len(inside_cells),
+            "cells": len(decomp.centers), "cells_searched": len(caps),
             "fixed_points": fixed, "greedy_floor_used": True}
     subset, value = greedy.subset, greedy.value
 
@@ -152,26 +150,13 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
             meta["greedy_floor_used"] = False
         return Solution(subset, value, "fast-clique", guess=(z0p, delta_prime), meta=meta)
 
-    table_in = inst.pow_submatrix(inside_cells)
-    if outside_cells.size:
-        cross_sums = inst.pow_submatrix(inside_cells, outside_cells) @ out_mult
-        const_out = float(values("clique", inst.pow_submatrix(outside_cells),
-                                 out_mult[None, :])[0])
-    else:
-        cross_sums = np.zeros(len(inside_cells))
-        const_out = 0.0
-
+    # the outside cells are extra columns, at full multiplicity in every row
+    table = inst.pow_submatrix(np.concatenate([centers[inside], centers[~inside]]))
     meta["candidates"] = predicted
-    best_val, best = -np.inf, None
-    for block in enumerate_compositions(ladders, free_k, at_most=True):
-        rows = raise_to_total(block, caps, caps, free_k)
-        if not rows.shape[0]:
-            continue
-        totals = values("clique", table_in, rows) + rows @ cross_sums + const_out
-        i = int(totals.argmax())
-        if totals[i] > best_val:
-            best_val, best = float(totals[i]), rows[i]
-
+    rows = (raise_to_total(block, caps, caps, free_k)
+            for block in enumerate_compositions(ladders, free_k, at_most=True))
+    best, _ = first_best(rows, lambda r: values(
+        "clique", table, np.hstack([r, np.tile(out_mult, (len(r), 1))])))
     if best is not None:
         counts = sizes.copy()
         counts[inside] = best

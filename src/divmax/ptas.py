@@ -17,13 +17,12 @@ that hold the outliers), not as count rows with one column per cell.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .baselines import _best_subset
 from .cells import decompose_fixed, lift
-from .compositions import count_compositions, enumerate_compositions
-from .diversity import EXACT_BIPARTITION_CAP, Objective, evaluate, values
+from .compositions import count_compositions, enumerate_compositions, first_best
+from .diversity import EXACT_BIPARTITION_CAP, Objective, Solution, evaluate, values
 from .errors import BudgetExceededError
 from .metric import REL_TOL, MetricInstance, diameter_estimate, tol_leq
 
@@ -36,17 +35,6 @@ OUTLIER_RADIUS_COEFF = {"clique": 2.0, "star": 4.0, "bipartition": 6.0}
 GUESS_SLACK = 2.0
 
 DEFAULT_BUDGET = 10_000_000
-
-
-@dataclass
-class Solution:
-    """A k-subset with its re-checked objective value and solver provenance."""
-
-    subset: tuple[int, ...]
-    value: float
-    algo: str
-    guess: tuple[int, float] | None = None  # (z0 candidate, guessed average value)
-    meta: dict = field(default_factory=dict)
 
 
 def build_guess_grid(inst: MetricInstance, k: int) -> list[float]:
@@ -158,8 +146,6 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
                 f"candidate budget exceeded: {evaluated} predicted candidates > "
                 f"budget {budget} (scale {s!r}, center {z0})")
 
-    from .baselines import _best_subset  # baselines imports Solution from here
-
     best: Solution | None = None
     exact = 0
     for s, z0, decomp, outliers, choices, total in plan:
@@ -173,12 +159,9 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
         else:
             # Called through the module global, so a wrapper installed on
             # ``ptas.enumerate_compositions`` sees every block.
-            best_rounded, best_counts = -np.inf, None
-            for counts in enumerate_compositions(choices, total):
-                vals = _rounded_values(inst, obj, ext, dq, counts, eps)
-                i = int(vals.argmax())
-                if best_counts is None or vals[i] > best_rounded:
-                    best_rounded, best_counts = vals[i], counts[i]
+            best_counts, _ = first_best(
+                enumerate_compositions(choices, total),
+                lambda counts: _rounded_values(inst, obj, ext, dq, counts, eps))
             lifted = lift(decomp.points, decomp.label, best_counts)
             pre = tuple(np.sort(np.concatenate([lifted, outliers])).tolist())
         val = evaluate(inst, obj, pre, eps=eps)

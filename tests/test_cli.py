@@ -61,6 +61,25 @@ def test_solve_with_oracle_ratio(capsys, square_file):
     assert 0.5 * (1 - 1e-9) <= ratio <= 1.0 + 1e-9
 
 
+def test_solve_brute_oracle_runs_brute_force_once(capsys, square_file, monkeypatch):
+    # the brute solver's answer is the oracle; the line is as when both ran
+    calls, brute = [], cli.brute_force_opt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return brute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "brute_force_opt", spy)
+    code, out, err = run(capsys, ["solve", "--in", square_file, "--objective", "clique",
+                                  "--k", "3", "--algo", "brute", "--oracle"])
+    assert code == 0, err
+    assert len(calls) == 1
+    assert result_line(out) == (f"RESULT algo=brute objective=clique q=1 k=3 n=4 "
+                                f"instance={square_file} value=3.41421356 "
+                                "oracle=3.41421356 ratio=1 subset=0,1,2")
+    assert "# brute force: 4 subsets, 4 rescored" in out.splitlines()
+
+
 def test_solve_ptas_guesses_line(capsys, tmp_path):
     path = str(tmp_path / "u.txt")
     assert cli.main(["gen", "uniform", "--n", "12", "--seed", "1", "--out", path]) == 0

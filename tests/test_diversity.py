@@ -1,6 +1,9 @@
 """Objective evaluation on subsets and multisets, plus the centroid identity."""
 import math
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,3 +371,22 @@ def test_centroid_identity_preconditions():
     mat = dm.MetricInstance.from_matrix([[0.0, 2.0], [2.0, 0.0]], q=2.0)
     with pytest.raises(ValueError, match="coordinate backend"):
         dm.centroid_clique_identity(mat, [0, 1])
+
+
+# ------------------------------------------------------------------ imports
+
+PACKAGE_DIR = Path(dm.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE_DIR.glob("*.py")
+                                        if p.stem != "__init__"))
+def test_each_module_imports_first(name):
+    # a fresh interpreter imports this module before any other divmax module;
+    # the package __init__ is bypassed, since its fixed order hides cycles
+    code = ("import importlib, sys, types\n"
+            "pkg = types.ModuleType('divmax')\n"
+            f"pkg.__path__ = [{str(PACKAGE_DIR)!r}]\n"
+            "sys.modules['divmax'] = pkg\n"
+            f"importlib.import_module('divmax.{name}')\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

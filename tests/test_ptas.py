@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import divmax as dm
 from divmax import baselines, compositions, ptas
-from divmax.compositions import count_compositions, raise_to_total
+from divmax.compositions import count_compositions, first_best, raise_to_total
 from divmax.errors import BudgetExceededError
 from divmax.metric import diameter_estimate, tol_leq
 from divmax.diversity import values
@@ -139,6 +139,28 @@ def test_count_compositions_is_exact_past_int64():
     assert rows == math.comb(20, 10) > compositions.BLOCK_ROWS
 
 
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=8))
+def test_first_best_is_the_first_argmax_of_the_concatenation(scores):
+    # row r of the concatenation is (r, its score): few distinct scores tie
+    # within and across blocks, and empty blocks come in runs
+    flat = [x for block in scores for x in block]
+    bounds = np.cumsum([0] + [len(block) for block in scores])
+    blocks = [np.array([[r, flat[r]] for r in range(a, b)], dtype=np.int64).reshape(-1, 2)
+              for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def score(block):
+        assert len(block)
+        return block[:, 1]
+
+    row, best = first_best(iter(blocks), score)
+    if not flat:
+        assert row is None and best == -np.inf
+    else:
+        r = flat.index(max(flat))
+        assert row.tolist() == [r, flat[r]] and best == flat[r]
+
+
 # -------------------------------------------------------------------- solve
 
 _C3 = [[3.0, 0.0], [0.0, 3.0], [-2.5, -2.5]]
@@ -244,7 +266,7 @@ def test_solve_budget_is_the_deduplicated_count():
     # Count-row guesses enumerate their rows; each all-singleton guess
     # searches the C(cells, k - outliers) subsets that hold its outliers.
     # The uniform run has only the second kind, the clustered run both
-    best_subset = baselines._best_subset
+    best_subset = ptas._best_subset
     for inst, k, eps in ((dm.gen_uniform(10, 2, seed=5), 4, 0.4),
                          (dm.gen_clustered(10, 0.05, _C3, seed=2), 4, 0.25)):
         obj = dm.Objective("clique")
@@ -263,7 +285,7 @@ def test_solve_budget_is_the_deduplicated_count():
             return best_subset(kind, dq, k, fixed)
 
         with mock.patch.object(ptas, "enumerate_compositions", counting), \
-                mock.patch.object(baselines, "_best_subset", searching):
+                mock.patch.object(ptas, "_best_subset", searching):
             again = solve(inst, obj, k, eps, budget=need)
         assert len(searched) == sol.meta["exact"] > 0
         assert bool(rows) == (sol.meta["exact"] < sol.meta["scored"])
@@ -355,7 +377,7 @@ def test_solve_singleton_guesses_match_count_rows(kind, far):
     pts = np.vstack([_spaced(far, 12, 0.1).points, 400.0 * np.c_[np.cos(ang), np.sin(ang)]])
     inst = dm.MetricInstance.from_points(pts, q=2.0)
     obj, k = dm.Objective(kind, 2.0), 6 if kind == "bipartition" else 5
-    best_subset, held = baselines._best_subset, []
+    best_subset, held = ptas._best_subset, []
 
     def search(kind, dq, k, fixed=0):
         held.append(fixed)
@@ -363,9 +385,9 @@ def test_solve_singleton_guesses_match_count_rows(kind, far):
         assert sorted(got[0].tolist()) == want[0].tolist()
         return got
 
-    with mock.patch.object(baselines, "_best_subset", search):
+    with mock.patch.object(ptas, "_best_subset", search):
         sol = solve(inst, obj, k, 0.25)
-    with mock.patch.object(baselines, "_best_subset", _count_row_search):
+    with mock.patch.object(ptas, "_best_subset", _count_row_search):
         ref = solve(inst, obj, k, 0.25)
     assert held == [far] and sol.meta["exact"] == 1
     assert (sol.subset, sol.value.hex(), sol.meta) == (ref.subset, ref.value.hex(), ref.meta)
