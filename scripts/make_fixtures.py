@@ -8,11 +8,14 @@ seeded so reruns are byte-identical.
 """
 import argparse
 import pathlib
+import sys
 
 import numpy as np
 
-import divmax as dm
-from divmax.instances import gen_ksum_reduction, KSumInstance
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+import divmax as dm  # noqa: E402
+from divmax.instances import gen_ksum_reduction, KSumInstance  # noqa: E402
 
 
 def er_adjacency(n: int, p: float, seed: int) -> np.ndarray:

@@ -11,7 +11,9 @@ import argparse
 import pathlib
 import sys
 
-from divmax.cli import main as divmax_main
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from divmax.cli import main as divmax_main  # noqa: E402
 
 
 def main() -> int:

@@ -12,54 +12,57 @@ from .metric import MetricInstance
 
 DEFAULT_ENUM_CAP = 2_000_000
 
-# Entries per block: subsets screened, prefixes times bipartition splits, or
-# split weights.
+# Entries per block: prefixes x pool or splits, rows x slots or splits, weights.
 _BLOCK = 1 << 16
 SCREEN_TOL = 1e-9
 
 
-def _extend(last: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each ``(r, j)`` with ``last[r] < j <= hi``, in lexicographic order."""
+def _extend(pre: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``(r, j)`` with ``pre[-1, r] < j <= hi`` (any j if prefixes are
+    empty), in lexicographic order; prefixes are held as columns."""
+    last = pre[-1] if len(pre) else np.full(pre.shape[1], -1, np.int32)
     c = hi - last
     r = np.repeat(np.arange(last.size, dtype=np.int32), c)
-    return r, np.arange(r.size, dtype=np.int32) + (last + 1 - np.cumsum(c) + c).astype(np.int32)[r]
-
-
-def _last(pre: np.ndarray) -> np.ndarray:
-    """The last column of prefixes held as columns, or -1 for empty prefixes."""
-    return pre[-1] if len(pre) else np.full(pre.shape[1], -1, np.int32)
+    return r, np.arange(r.size) + np.repeat(last + 1 - np.cumsum(c) + c, c)
 
 
 def _prefix_blocks(m: int, t: int, size: int):
-    """The t-subsets of ``range(m - 1)`` in lexicographic order, as blocks of
-    at most ``size`` rows.  Only the (t-1)-subsets, C(m-2, t-1) of them, are
-    held whole; each block of ``size`` of them gets its last column here."""
+    """The t-subsets of ``range(m - 1)`` in lexicographic order, as columns in
+    blocks of at most ``size``.  Only the (t-1)-subsets, C(m-2, t-1) of them,
+    are held whole; each block of ``size`` of them gets its last row here."""
     if t == 0:
-        yield np.empty((1, 0), np.int32)
+        yield np.empty((0, 1), np.int32)
         return
     pre = np.empty((0, 1), np.int32)
     for c in range(t - 1):
-        r, col = _extend(_last(pre), m - t - 1 + c)
+        r, col = _extend(pre, m - t - 1 + c)
         nxt = np.empty((c + 1, r.size), np.int32)
         np.take(pre, r, axis=1, out=nxt[:c], mode="clip")  # "raise" would buffer
         nxt[c] = col
         pre = nxt
     for b in range(0, pre.shape[1], size):
         short = pre[:, b:b + size]
-        r, col = _extend(_last(short), m - 2)
+        r, col = _extend(short, m - 2)
         full = np.empty((t, r.size), np.int32)
         np.take(short, r, axis=1, out=full[:-1], mode="clip")
         full[-1] = col
         for c in range(0, r.size, size):
-            yield full[:, c:c + size].T
+            yield full[:, c:c + size]
 
 
-def _split_weights(left: np.ndarray, ia: np.ndarray, ib: np.ndarray):
-    """Per split column: weights of the prefix pairs ``(ia, ib)`` and of the
-    prefix-last terms; a term counts when its two slots lie on opposite
-    sides.  ``left`` holds boolean split rows (gathers 8x faster than float)."""
-    return ((left[:, ia] != left[:, ib]).T.astype(np.float64),
-            (left[:, :-1] != left[:, -1:]).T.astype(np.float64))
+def _screen_weights(kind: str, k: int, width: int):
+    """Chunks of at most ``width`` weight rows ``(w_pair, w_new)``; a row screens as the
+    minimum over them of w_pair @ its prefix's pair terms + w_new @ its prefix-j terms."""
+    ia, ib = np.triu_indices(k - 1, 1)
+    if kind == "clique":
+        yield np.ones((1, ia.size)), np.ones((1, k - 1))
+    elif kind == "star":  # centered at each prefix slot, then at j
+        slot = np.arange(k)[:, None]
+        yield 1.0 * ((slot == ia) | (slot == ib)), np.eye(k, k - 1) + (slot == k - 1)
+    else:  # a term counts when its two slots lie on opposite sides
+        left = balanced_split_masks(k).astype(bool)  # gathers 8x faster than float
+        for w in (left[c:c + width] for c in range(0, len(left), width)):
+            yield 1.0 * (w[:, ia] != w[:, ib]), 1.0 * (w[:, :-1] != w[:, -1:])
 
 
 def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0):
@@ -70,16 +73,17 @@ def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0):
     lexicographic order of their pool part, and the first maximum wins.
     Returns ``(row, value, rescored)``.
 
-    A row is a (k-1)-prefix plus a larger pool position j: each block of
-    prefixes gathers its distance blocks once, and each row adds d^q(j,
-    prefix) to get a screening value.  Rows within ``SCREEN_TOL`` of the
-    running best are rescored by ``batch_evaluate`` and the first maximum is
-    kept, which gives the row and value bits of rescoring every row: on an
-    exactly symmetric, nonnegative d^q with zero diagonal, both values sum
-    (or take the minimum of sums of) the same at most k^2 nonnegative terms,
-    so each is within k^2 ulps of the true value and every exact maximum
-    passes.  Other matrices are rescored in full.  Bipartition split weights
-    are taken ``_BLOCK`` entries at a time under a running minimum.
+    A row is a (k-1)-prefix plus a larger pool position j.  Arrays are laid
+    out slots x rows and reduced over axis 0: a block of prefixes gathers its
+    pair terms once, each chunk of rows its terms d^q(prefix, j), and
+    ``_screen_weights`` weighs both; no rows x slots or rows x weight rows
+    array exceeds ``_BLOCK`` entries.  Rows within ``SCREEN_TOL`` of the
+    running best are rescored by ``batch_evaluate``, which gives the row and
+    value bits of rescoring every row: on an exactly symmetric, nonnegative
+    d^q with zero diagonal, both values sum (or take the minimum of sums of)
+    the same at most k^2 nonnegative terms, so each is within k^2 ulps of the
+    true value and every exact maximum passes.  Other matrices are rescored
+    in full.
     """
     m, free = len(dq) - fixed, k - fixed
     fix = np.arange(m, m + fixed, dtype=np.int32)
@@ -87,39 +91,35 @@ def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0):
         return fix, batch_evaluate(kind, dq, fix[None, :])[0], 1
     screen = np.array_equal(dq, dq.T) and not np.diagonal(dq).any() and dq.min() >= 0
     floor = 1.0 - SCREEN_TOL - 4 * k * k * np.finfo(np.float64).eps
-    size = max(1, _BLOCK // m)
-    if kind == "bipartition":  # split sums: prefix pair terms, then prefix-j terms
-        left = balanced_split_masks(k).astype(bool)
-        ia, ib = np.triu_indices(k - 1, 1)
-        width = max(1, _BLOCK // max(1, ia.size))
-        weights = _split_weights(left, ia, ib) if len(left) <= width else None
-        size = max(1, _BLOCK // max(m, min(len(left), width)))
+    flat, (ia, ib) = dq.ravel(), np.triu_indices(k - 1, 1)
+    width = max(1, _BLOCK // max(1, ia.size))
+    splits = math.comb(k - 1, k // 2) if kind == "bipartition" else 1
+    weights = list(_screen_weights(kind, k, width)) if splits <= width else None
+    size, step = (max(1, _BLOCK // max(x, min(splits, width))) for x in (m, k))
     best, best_row, rescored = -np.inf, None, 0
     for p in _prefix_blocks(m, free - 1, size):
-        r, j = _extend(_last(p.T), m - 1)
-        if fixed:
-            p = np.hstack((np.broadcast_to(fix, (len(p), fixed)), p))
-        cross = dq[j[:, None], p[r]]
-        if kind == "bipartition":
-            pairs, vals = dq[p[:, ia], p[:, ib]], np.full(r.size, np.inf)
-            for c in range(0, len(left), width):
-                w_pair, w_new = weights or _split_weights(left[c:c + width], ia, ib)
-                np.minimum(vals, ((pairs @ w_pair)[r] + cross @ w_new).min(axis=1), out=vals)
-        else:
-            g = dq[p[:, :, None], p[:, None, :]]
-            if kind == "clique":
-                vals = g.sum(axis=(1, 2))[r] / 2.0 + cross.sum(axis=1)
-            else:
-                vals = np.minimum((g.sum(axis=2)[r] + cross).min(axis=1), cross.sum(axis=1))
+        r, j = _extend(p, m - 1)
+        p = np.vstack((np.broadcast_to(fix[:, None], (fixed, p.shape[1])), p))
+        base = p * np.int64(len(dq))  # flat offsets of each prefix slot's row
+        pairs = np.take(flat, base[ia] + p[ib])
+        vals = np.full(r.size, np.inf)
+        for w_pair, w_new in weights or _screen_weights(kind, k, width):
+            pre = w_pair @ pairs
+            for c in range(0, r.size, step):
+                off = np.take(base, r[c:c + step], axis=1)
+                off += j[c:c + step]
+                near = np.take(pre, r[c:c + step], axis=1)
+                near += w_new @ np.take(flat, off)
+                np.minimum(vals[c:c + step], near.min(axis=0), out=vals[c:c + step])
         keep = np.flatnonzero((vals >= max(best, vals.max()) * floor) | (not screen))
         if keep.size:
-            rows = np.column_stack((p[r[keep]], j[keep]))
+            rows = np.vstack((p[:, r[keep]], j[keep])).T
             # the module global, so a wrapper installed on it sees every rescore
             exact = batch_evaluate(kind, dq, rows)
             rescored += keep.size
             i = int(exact.argmax())
             if best_row is None or exact[i] > best:
-                best, best_row = exact[i], rows[i]
+                best, best_row = exact[i], rows[i].copy()
     return best_row, best, rescored
 
 
@@ -174,8 +174,7 @@ def greedy_clique(inst: MetricInstance, k: int) -> Solution:
     taken = np.zeros(inst.n, dtype=bool)
     taken[[a, b]] = True
     while len(chosen) < k:
-        masked = np.where(taken, -np.inf, score)
-        u = int(masked.argmax())
+        u = int(np.where(taken, -np.inf, score).argmax())
         chosen.append(u)
         taken[u] = True
         if len(chosen) < k:  # the last pick's row would go unread

@@ -69,12 +69,14 @@ def balanced_split_masks(k: int) -> np.ndarray:
 
     Rows follow lexicographic order of the left-hand position tuples, so the
     first row attaining a minimum corresponds to the lexicographically
-    smallest left half.
+    smallest left half.  The cached array is read-only.
     """
     if k < 2 or k % 2:
         raise ValueError(f"balanced splits need even k >= 2, got {k}")
-    return np.vstack(list(enumerate_compositions([[1]] + [[1, 0]] * (k - 1), k // 2)),
-                     dtype=np.float64)
+    masks = np.vstack(list(enumerate_compositions([[1]] + [[1, 0]] * (k - 1), k // 2)),
+                      dtype=np.float64)
+    masks.flags.writeable = False
+    return masks
 
 
 def evaluate(inst: MetricInstance, obj: Objective, subset, *, eps: float | None = None) -> float:

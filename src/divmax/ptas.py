@@ -77,7 +77,8 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     with the same outliers and cell labels as an earlier one poses the same
     problem and is dropped.  A guess whose cells are all singletons rounds
     nothing, so it scores every k-subset that contains its outliers exactly,
-    with the oracle's screened search (``meta["exact"]`` counts these).
+    with the oracle's screened search (``meta["exact"]`` counts these and
+    ``meta["rescored"]`` the subsets they rescore exactly).
     Any other guess whose outliers contain those lifts only to such subsets,
     so it is dominated and dropped without changing the best value; only a
     bit-exact tie between distinct subsets could change the one returned.
@@ -97,17 +98,14 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
 
     scales = build_guess_grid(inst, k)
     if not scales:
-        subset = tuple(range(k))
-        return Solution(subset, 0.0, "ptas", guess=(0, 0.0),
-                        meta=dict.fromkeys(("guesses", "repeats", "dominated", "scored",
-                                            "exact", "candidates", "max_cells"), 0))
+        return Solution(tuple(range(k)), 0.0, "ptas", guess=(0, 0.0),
+                        meta=dict.fromkeys(("guesses repeats dominated scored exact "
+                                            "rescored candidates max_cells").split(), 0))
     q = inst.q
     cell_scale = eps / 2.0 ** (q + 3)
     ball_coeff = GUESS_SLACK * OUTLIER_RADIUS_COEFF[obj.kind]
 
-    plan = []
-    guesses = 0
-    max_cells = 0
+    plan, guesses, max_cells = [], 0, 0
     seen: set[tuple[int, bytes]] = set()
     problems: set[tuple[bytes, bytes]] = set()
     all_idx = np.arange(inst.n, dtype=np.int64)
@@ -147,14 +145,15 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
                 f"budget {budget} (scale {s!r}, center {z0})")
 
     best: Solution | None = None
-    exact = 0
+    exact = rescored = 0
     for s, z0, decomp, outliers, choices, total in plan:
         ext = list(decomp.centers) + outliers.tolist()
         dq = inst.pow_submatrix(ext)
         if exact_ok and len(decomp.centers) == decomp.points.size:
             # rounding is the identity: search the k-subsets holding the outliers
             exact += 1
-            row = _best_subset(obj.kind, dq, k, fixed=outliers.size)[0]
+            row, _, row_rescores = _best_subset(obj.kind, dq, k, fixed=outliers.size)
+            rescored += row_rescores
             pre = tuple(sorted(ext[i] for i in row.tolist()))
         else:
             # Called through the module global, so a wrapper installed on
@@ -169,6 +168,6 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
             best = Solution(pre, val, "ptas", guess=(z0, float(s) ** q))
     assert best is not None
     best.meta.update(guesses=guesses, repeats=repeats, dominated=dominated,
-                     scored=len(plan), exact=exact, candidates=evaluated,
+                     scored=len(plan), exact=exact, rescored=rescored, candidates=evaluated,
                      max_cells=max_cells)
     return best

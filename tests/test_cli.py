@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, RESULT lines, generation, benchmarks."""
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -387,3 +390,15 @@ def test_bench_unknown_suite_usage(capsys, tmp_path):
     code, _, err = run(capsys, ["bench", "--suite", "scaling", "--threads", "2",
                                 "--out", str(tmp_path / "o.tsv")])
     assert code == 1 and "--threads" in err
+
+
+@pytest.mark.parametrize("script", ("make_fixtures.py", "run_benchmarks.py"))
+def test_script_runs_from_a_clean_checkout(script, tmp_path):
+    # the scripts put the repo's src on sys.path themselves: no install and
+    # no PYTHONPATH needed, from any working directory
+    path = Path(__file__).resolve().parent.parent / "scripts" / script
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(path), "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"usage: {script}")

@@ -109,6 +109,14 @@ def test_balanced_split_masks():
         balanced_split_masks(5)
 
 
+def test_balanced_split_masks_are_read_only():
+    # the array is cached, so a caller's write would reach every later
+    # bipartition score with the same k
+    with pytest.raises(ValueError, match="read-only"):
+        balanced_split_masks(4)[0, 0] = 7
+    np.testing.assert_array_equal(balanced_split_masks(4)[0], [1, 1, 0, 0])
+
+
 def test_objective_validation():
     with pytest.raises(ValueError, match="unknown objective"):
         dm.Objective("tree")

@@ -293,6 +293,24 @@ def test_solve_budget_is_the_deduplicated_count():
         assert (again.subset, again.value, again.meta) == (sol.subset, sol.value, sol.meta)
 
 
+def test_solve_rescored_sums_the_exact_searches():
+    # meta["rescored"] is the total the subset engine reports over the
+    # exact guesses; count-row guesses add nothing to it
+    best_subset = ptas._best_subset
+    for inst, k, eps in ((dm.gen_uniform(20, 2, seed=5), 6, 0.4),
+                         (dm.gen_clustered(10, 0.05, _C3, seed=2), 4, 0.25)):
+        reported = []
+
+        def searching(kind, dq, k, fixed=0):
+            reported.append(best_subset(kind, dq, k, fixed))
+            return reported[-1]
+
+        with mock.patch.object(ptas, "_best_subset", searching):
+            sol = solve(inst, dm.Objective("clique"), k, eps)
+        assert len(reported) == sol.meta["exact"] > 0
+        assert sol.meta["rescored"] == sum(r[2] for r in reported) >= len(reported)
+
+
 def test_solve_fetches_each_scored_distance_block_once():
     # the uniform run's one singleton guess rescores the near-best of its
     # C(20, 6) = 38760 subsets in several blocks; the clustered run adds
@@ -390,7 +408,10 @@ def test_solve_singleton_guesses_match_count_rows(kind, far):
     with mock.patch.object(ptas, "_best_subset", _count_row_search):
         ref = solve(inst, obj, k, 0.25)
     assert held == [far] and sol.meta["exact"] == 1
-    assert (sol.subset, sol.value.hex(), sol.meta) == (ref.subset, ref.value.hex(), ref.meta)
+    # the count-row stand-in rescores nothing; every other count agrees
+    assert sol.meta["rescored"] >= 1 and ref.meta["rescored"] == 0
+    assert (sol.subset, sol.value.hex(), {**sol.meta, "rescored": 0}) == \
+        (ref.subset, ref.value.hex(), ref.meta)
 
 
 # subset and value as returned before repeats and dominated guesses were
@@ -458,4 +479,4 @@ def test_solve_all_coincident():
     sol = solve(inst, dm.Objective("clique"), 3, 0.5)
     assert sol.subset == (0, 1, 2) and sol.value == 0.0
     assert sol.meta == {"guesses": 0, "repeats": 0, "dominated": 0, "scored": 0,
-                        "exact": 0, "candidates": 0, "max_cells": 0}
+                        "exact": 0, "rescored": 0, "candidates": 0, "max_cells": 0}
