@@ -59,6 +59,8 @@ def min_bisection(inst: MetricInstance, T, eps: float,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     elems = sorted(int(t) for t in T)
     check_indices(inst, elems)
     k = len(elems)

@@ -155,14 +155,15 @@ def cmd_solve(args) -> int:
     if args.algo == "greedy" and args.objective != "clique":
         print("error: greedy supports only --objective clique", file=sys.stderr)
         return EXIT_USAGE
+    if args.budget is not None and args.budget < 0:
+        print(f"error: --budget must be >= 0, got {args.budget}", file=sys.stderr)
+        return EXIT_USAGE
 
     t_load = time.perf_counter()
     inst = load_instance(args.infile, q=args.q)
     load_ms = (time.perf_counter() - t_load) * 1000.0
     obj = Objective(args.objective, args.q)
-    kw = {}
-    if args.budget is not None:
-        kw["budget"] = args.budget
+    kw = {} if args.budget is None else {"budget": args.budget}
     t0 = time.perf_counter()
     if args.algo == "brute":
         sol = brute_force_opt(inst, obj, args.k)
@@ -192,10 +193,8 @@ def cmd_solve(args) -> int:
                   f"{oracle!r}", file=sys.stderr)
             return EXIT_VERIFY
 
-    counters = {}
-    for key in ("candidates", "guesses", "max_cells", "cells", "search_complete"):
-        if key in sol.meta:
-            counters[key] = sol.meta[key]
+    counters = {key: sol.meta[key] for key in (
+        "candidates", "guesses", "max_cells", "cells", "search_complete") if key in sol.meta}
     rep = RunReport(algo=args.algo, objective=args.objective, q=args.q, k=args.k,
                     n=inst.n, instance=args.infile, value=sol.value,
                     subset=sol.subset, eps=args.eps, seed=args.seed,
@@ -211,11 +210,12 @@ def cmd_solve(args) -> int:
     if args.algo == "fast-clique":
         print(_search_line(sol.meta, args.eps))
     elif args.algo == "ptas":
-        m = sol.meta
+        m, subsets, c = sol.meta, math.comb(inst.n, args.k), f"C({inst.n},{args.k})"
+        route = m["candidates"] < m.get("planned", 0)  # one search of every k-subset
         print(f"# guesses: {m['guesses']} planned, {m['repeats']} repeats, "
               f"{m['dominated']} dominated, {m['scored']} scored ({m['exact']} exact); "
-              f"{m['candidates']} candidates"
-              f" = {m['candidates'] / math.comb(inst.n, args.k):.2f} x C({inst.n},{args.k})")
+              f"{m['candidates']} candidates = {m['candidates'] / subsets:.2f} x {c}"
+              + (f"; exact search of {c} = {subsets} < {m['planned']} planned" if route else ""))
     return EXIT_OK
 
 

@@ -111,6 +111,8 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={inst.n}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
     greedy = greedy_clique(inst, k)
     delta_prime = greedy.value / math.comb(k, 2)

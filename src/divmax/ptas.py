@@ -9,20 +9,25 @@ multiset is scored after rounding every point to its cell center, and the
 best candidate's pre-image is returned.  With cell radius eps / 2^(q+3) times
 the guessed scale, rounding changes any candidate's value by at most an eps
 fraction of the optimum, which yields the (1 - eps) guarantee.  Once every
-cell is a singleton, rounding is the identity and such guesses pose one
-exact problem, so each rounded problem is scored once: a run whose cells are
-all singletons costs one search of C(n, k) subsets.  Such a guess is
-searched by the brute-force oracle's screened subset engine (its k-subsets
-that hold the outliers), not as count rows with one column per cell.
+cell is a singleton, rounding is the identity, and the guess is searched by
+the brute-force oracle's screened subset engine (its k-subsets that hold the
+outliers), not as count rows with one column per cell.  Each rounded problem
+is scored once, and a plan of more rows than C(n, k) gives way to the
+engine's search of all k-subsets; bipartition count rows are scored exactly
+only where the engine's screen finds them near-best.
 """
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
-from .baselines import _best_subset
-from .cells import decompose_fixed, lift
+from .baselines import _BLOCK, SCREEN_TOL, _best_subset, _screen_weights
+from .cells import CellDecomposition, decompose_fixed, lift
 from .compositions import count_compositions, enumerate_compositions, first_best
-from .diversity import EXACT_BIPARTITION_CAP, Objective, Solution, evaluate, values
+from .diversity import (EXACT_BIPARTITION_CAP, Objective, Solution, _expand_rows,
+                        evaluate, values)
 from .errors import BudgetExceededError
 from .metric import REL_TOL, MetricInstance, diameter_estimate, tol_leq
 
@@ -48,10 +53,8 @@ def build_guess_grid(inst: MetricInstance, k: int) -> list[float]:
     rhat = diameter_estimate(inst)
     if rhat <= 0:
         return []
-    top = 2.0 * rhat
-    bottom = rhat / (k * k)
-    cands = [top * 2.0]  # one extra above
-    s = top
+    top, bottom = 2.0 * rhat, rhat / (k * k)
+    cands, s = [top * 2.0], top  # one extra above
     while s >= bottom * (1.0 - REL_TOL):
         cands.append(s)
         s /= 2.0
@@ -61,31 +64,73 @@ def build_guess_grid(inst: MetricInstance, k: int) -> list[float]:
 
 def _rounded_values(inst: MetricInstance, obj: Objective, ext: list[int], dq: np.ndarray,
                     counts: np.ndarray, eps: float) -> np.ndarray:
-    """Rounded values of count rows over ``ext`` = centers + outliers (d^q block ``dq``)."""
+    """Rounded values of count rows over ``ext`` = centers + outliers (d^q block ``dq``);
+    exact bipartition rows screened below the block's best as ``_best_subset`` screens
+    score -inf, which keeps ``first_best``'s row and value bits."""
     full = np.hstack([counts, np.ones((len(counts), len(ext) - counts.shape[1]), np.int64)])
-    if obj.kind == "bipartition" and int(full[0].sum()) > EXACT_BIPARTITION_CAP:
+    k = int(full[0].sum())
+    if obj.kind == "bipartition" and k > EXACT_BIPARTITION_CAP:
         return np.array([evaluate(inst, obj, np.repeat(ext, row), eps=eps) for row in full])
-    return values(obj.kind, dq, full)
+    if obj.kind != "bipartition" or not (
+            np.array_equal(dq, dq.T) and not np.diagonal(dq).any() and dq.min() >= 0):
+        return values(obj.kind, dq, full)
+    rows, (ia, ib) = _expand_rows(full).T, np.triu_indices(k - 1, 1)
+    width = max(1, _BLOCK // max(1, ia.size))
+    step = max(1, _BLOCK // max(k, min(math.comb(k - 1, k // 2), width)))
+    screen, out = np.full(len(full), np.inf), np.full(len(full), -np.inf)
+    for w_pair, w_new in _screen_weights("bipartition", k, width):
+        for c in range(0, len(full), step):
+            r = rows[:, c:c + step]
+            near = w_pair @ dq[r[ia], r[ib]] + w_new @ dq[r[:-1], r[-1]]
+            np.minimum(screen[c:c + step], near.min(axis=0), out=screen[c:c + step])
+    keep = screen >= screen.max() * (1.0 - SCREEN_TOL - 4 * k * k * np.finfo(np.float64).eps)
+    out[keep] = values(obj.kind, dq, full[keep])
+    return out
+
+
+def _plan(inst: MetricInstance, obj: Objective, k: int, eps: float, scales: list[float]):
+    """Guesses ``(s, z0, decomp, outliers, choices, total)`` posing distinct problems, in
+    (scale, center) order, and the number of guesses; a center makes none at a scale
+    where it has more than k outliers or the same ones as an earlier center."""
+    radii = GUESS_SLACK * OUTLIER_RADIUS_COEFF[obj.kind] * np.asarray(scales)
+    all_idx = np.arange(inst.n, dtype=np.int64)
+    found: list[dict] = [{} for _ in scales]  # outlier mask -> (its first z0, outliers)
+    for z0 in range(inst.n):
+        out = ~tol_leq(inst.dists_from(z0), radii[:, None])
+        for si in np.flatnonzero(out.sum(axis=1) <= k).tolist():
+            found[si].setdefault(out[si].tobytes(), (z0, all_idx[out[si]]))
+    problems: dict = {}  # (labels, outliers) -> the first guess posing that problem
+    for s, first in zip(scales, found):
+        for z0, outliers in first.values():
+            decomp = decompose_fixed(inst, np.delete(all_idx, outliers),
+                                     eps / 2.0 ** (inst.q + 3) * s)
+            # the points are the non-outliers and each center is its cell's
+            # lowest-index member, so this key fixes all but the cell radius
+            problems.setdefault((decomp.label.tobytes(), outliers.tobytes()),
+                                (s, z0, decomp, outliers))
+    plan = [(s, z0, d, o, [range(min(size, k), -1, -1) for size in np.bincount(d.label).tolist()],
+             k - o.size) for s, z0, d, o in problems.values()]
+    return plan, sum(map(len, found))
 
 
 def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
           *, budget: int = DEFAULT_BUDGET) -> Solution:
     """Best k-subset found by the guess-and-round scheme; value >= (1 - eps) * OPT.
 
-    Guesses run over descending scale candidates and ascending center
-    candidates; equal-value solutions keep the first one encountered.  A guess
-    with the same outliers and cell labels as an earlier one poses the same
-    problem and is dropped.  A guess whose cells are all singletons rounds
-    nothing, so it scores every k-subset that contains its outliers exactly,
-    with the oracle's screened search (``meta["exact"]`` counts these and
-    ``meta["rescored"]`` the subsets they rescore exactly).
-    Any other guess whose outliers contain those lifts only to such subsets,
-    so it is dominated and dropped without changing the best value; only a
-    bit-exact tie between distinct subsets could change the one returned.
-    Bipartitions above ``EXACT_BIPARTITION_CAP`` score rows by a ``1 + eps``
-    estimate, so there only repeats are dropped.  The kept guesses' candidates
-    are counted exactly before any is enumerated, and the solve raises at the
-    first guess whose running total exceeds ``budget``.
+    Guesses run over descending scales and ascending centers; equal values keep
+    the first.  A guess with an earlier one's outliers and cell labels poses the
+    same problem and is dropped.  A guess whose cells are all singletons rounds
+    nothing, so it scores every k-subset holding its outliers exactly with the
+    oracle's screened search (``meta["exact"]`` counts these, ``meta["rescored"]``
+    the subsets they rescore).  Any other guess whose outliers contain those lifts
+    only to such subsets, so it is dominated and dropped without changing the best
+    value; only a bit-exact tie between distinct subsets could change the one
+    returned.  Bipartitions above ``EXACT_BIPARTITION_CAP`` score rows by a
+    ``1 + eps`` estimate, so there only repeats are dropped.  The kept guesses'
+    rows are counted exactly before any is enumerated (``meta["planned"]``); past
+    C(n, k) they give way to one exact search of every k-subset, which dominates
+    them all, as center 0 at the top scale, whose ball holds every point.  The
+    solve raises at the first guess whose running total exceeds ``budget``.
     """
     if obj.q != inst.q:
         raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
@@ -95,50 +140,31 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if obj.kind == "bipartition" and k % 2:
         raise ValueError(f"bipartition needs even k, got {k}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
     scales = build_guess_grid(inst, k)
     if not scales:
         return Solution(tuple(range(k)), 0.0, "ptas", guess=(0, 0.0),
                         meta=dict.fromkeys(("guesses repeats dominated scored exact "
                                             "rescored candidates max_cells").split(), 0))
-    q = inst.q
-    cell_scale = eps / 2.0 ** (q + 3)
-    ball_coeff = GUESS_SLACK * OUTLIER_RADIUS_COEFF[obj.kind]
-
-    plan, guesses, max_cells = [], 0, 0
-    seen: set[tuple[int, bytes]] = set()
-    problems: set[tuple[bytes, bytes]] = set()
-    all_idx = np.arange(inst.n, dtype=np.int64)
-    for si, s in enumerate(scales):
-        for z0 in range(inst.n):
-            inside = tol_leq(inst.dists_from(z0), ball_coeff * s)
-            outliers = all_idx[~inside]
-            if outliers.size > k or (si, outliers.tobytes()) in seen:
-                continue
-            seen.add((si, outliers.tobytes()))
-            guesses += 1
-            decomp = decompose_fixed(inst, all_idx[inside], cell_scale * s)
-            max_cells = max(max_cells, len(decomp.centers))
-            # the points are the non-outliers and each center is its cell's
-            # lowest-index member, so this key fixes all but the cell radius
-            problem = (decomp.label.tobytes(), outliers.tobytes())
-            if problem not in problems:
-                problems.add(problem)
-                choices = [range(min(size, k), -1, -1)
-                           for size in np.bincount(decomp.label).tolist()]
-                plan.append((s, z0, decomp, outliers, choices, k - int(outliers.size)))
-    repeats = guesses - len(plan)
+    plan, guesses = _plan(inst, obj, k, eps, scales)
+    # a repeat has its problem's labels, so its cell count too
+    repeats, max_cells = guesses - len(plan), max(len(g[2].centers) for g in plan)
     exact_ok = obj.kind != "bipartition" or k <= EXACT_BIPARTITION_CAP
     if exact_ok:
         floors = [(i, set(g[3].tolist())) for i, g in enumerate(plan)
                   if len(g[2].centers) == g[2].points.size]
         plan = [g for i, g in enumerate(plan)
                 if not any(j != i and f.issubset(g[3].tolist()) for j, f in floors)]
-    dominated = guesses - repeats - len(plan)
+    sizes = [count_compositions(choices, total) for *_, choices, total in plan]
+    planned = sum(sizes)
+    if exact_ok and math.comb(inst.n, k) < planned:  # every point its own cell
+        idx = np.arange(inst.n)
+        whole = CellDecomposition(idx.tolist(), idx, idx, np.zeros(inst.n))
+        plan, sizes = [(scales[0], 0, whole, idx[:0], None, k)], [math.comb(inst.n, k)]
 
-    evaluated = 0
-    for s, z0, _, _, choices, total in plan:
-        evaluated += count_compositions(choices, total)
+    for (s, z0, *_), evaluated in zip(plan, itertools.accumulate(sizes)):
         if evaluated > budget:
             raise BudgetExceededError(
                 f"candidate budget exceeded: {evaluated} predicted candidates > "
@@ -165,9 +191,9 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
             pre = tuple(np.sort(np.concatenate([lifted, outliers])).tolist())
         val = evaluate(inst, obj, pre, eps=eps)
         if best is None or val > best.value:
-            best = Solution(pre, val, "ptas", guess=(z0, float(s) ** q))
+            best = Solution(pre, val, "ptas", guess=(z0, float(s) ** inst.q))
     assert best is not None
-    best.meta.update(guesses=guesses, repeats=repeats, dominated=dominated,
-                     scored=len(plan), exact=exact, rescored=rescored, candidates=evaluated,
-                     max_cells=max_cells)
+    best.meta.update(guesses=guesses, repeats=repeats, dominated=guesses - repeats - len(plan),
+                     scored=len(plan), exact=exact, rescored=rescored, candidates=sum(sizes),
+                     planned=planned, max_cells=max_cells)
     return best

@@ -394,8 +394,12 @@ def test_c8_hardness_gadget(capsys):
 def test_c9_determinism(tmp_path, capsys):
     # the subprocess runs in tmp_path, where a relative PYTHONPATH would not resolve
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(dm.__file__).resolve().parents[1])}
+    # BLAS picks its own thread count unless these are set
+    blas_default = {k: v for k, v in env.items()
+                    if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    one_thread = {**blas_default, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
-    def run(args):
+    def run(args, env=env):
         r = subprocess.run([sys.executable, "-m", "divmax.cli", *args],
                            capture_output=True, text=True, cwd=str(tmp_path), env=env)
         assert r.returncode == 0, r.stderr
@@ -425,7 +429,17 @@ def test_c9_determinism(tmp_path, capsys):
         checks += 1
         failures += run(argv) != run(argv)
 
+    # the subset screens run GEMMs whose bits may follow the BLAS thread
+    # count; only exact rescores reach an answer, so RESULT lines must not
+    run(["gen", "clustered", "--n", "16", "--radius", "0.01", "--outliers",
+         "1,0;0,1;-1,0;0,-1", "--seed", "3", "--out", "b.txt"])
+    for argv in (["--in", "a.txt", "--objective", "star", "--k", "4", "--oracle"],
+                 ["--in", "b.txt", "--objective", "bipartition", "--k", "8"]):
+        argv = ["solve", "--algo", "ptas", "--eps", "0.3"] + argv
+        checks += 1
+        failures += run(argv, blas_default) != run(argv, one_thread)
+
     ok = failures == 0
     _report(capsys, 9, "determinism", ok,
-            f"{checks} byte-identity checks (reruns, thread counts, file bytes), "
-            f"{failures} mismatches")
+            f"{checks} byte-identity checks (reruns, thread counts, BLAS threads, "
+            f"file bytes), {failures} mismatches")

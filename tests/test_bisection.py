@@ -161,6 +161,11 @@ def test_bisection_validation(square):
         min_bisection(square, [], 0.5)
 
 
+def test_bisection_rejects_negative_budget(square):
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        min_bisection(square, [0, 1, 2, 3], 0.5, budget=-1)
+
+
 
 def test_indices_outside_the_instance_rejected():
     # numpy would wrap -1 to the last point instead of failing

@@ -122,6 +122,31 @@ def test_solve_ptas_guesses_line_counts_exact_searches(capsys, tmp_path):
     assert "exact" not in result_line(out)
 
 
+def test_solve_ptas_guesses_line_names_the_exact_route(capsys, tmp_path):
+    # the plan predicts 4844 rows, more than the 3003 subsets of 5 among 15
+    # points, so one search of every subset replaces it; RESULT carries only
+    # its candidates
+    path = str(tmp_path / "c.txt")
+    dm.save_instance(dm.gen_clustered(14, 0.1, [[2.0, 0.0]], seed=5, q=2.0), path)
+    argv = ["solve", "--in", path, "--objective", "clique", "--q", "2", "--k", "5",
+            "--algo", "ptas", "--eps", "0.5"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    guesses = [line for line in out.splitlines() if line.startswith("# guesses: ")]
+    assert guesses[0].endswith("; 3003 candidates = 1.00 x C(15,5); "
+                               "exact search of C(15,5) = 3003 < 4844 planned")
+    assert ", 1 scored (1 exact);" in guesses[0]
+    assert "candidates=3003 " in result_line(out) and "planned" not in result_line(out)
+    code, _, err = run(capsys, argv + ["--budget", "3002"])
+    assert code == 2 and "3003 predicted candidates > budget 3002 (scale" in err
+    path = str(tmp_path / "u.txt")
+    dm.save_instance(dm.gen_clustered(10, 0.05, [[3.0, 0.0], [0.0, 3.0], [-2.5, -2.5]],
+                                      seed=2), path)
+    code, out, _ = run(capsys, ["solve", "--in", path, "--objective", "clique", "--k", "4",
+                                "--algo", "ptas", "--eps", "0.25"])
+    assert code == 0 and "exact search" not in out
+
+
 def test_solve_brute_force_line(capsys, tmp_path):
     path = str(tmp_path / "u.txt")
     assert cli.main(["gen", "uniform", "--n", "12", "--seed", "1", "--out", path]) == 0
@@ -236,6 +261,15 @@ def test_solve_usage_errors(capsys, square_file):
     ):
         code, _, err = run(capsys, argv)
         assert code == 1 and "error" in err
+
+
+def test_solve_negative_budget_is_a_usage_error(capsys, square_file):
+    base = ["solve", "--in", square_file, "--objective", "clique", "--k", "2", "--eps", "0.5"]
+    for algo in ("fast-clique", "ptas"):
+        code, out, err = run(capsys, base + ["--algo", algo, "--budget", "-1"])
+        assert (code, out) == (1, "") and "--budget must be >= 0, got -1" in err
+    code, out, _ = run(capsys, base + ["--algo", "fast-clique", "--budget", "0"])
+    assert code == 0 and "search_complete=False" in result_line(out)
 
 
 def test_solve_runtime_errors(capsys, square_file, tmp_path):

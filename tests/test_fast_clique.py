@@ -261,6 +261,13 @@ def test_solve_fast_validation(square):
         solve_fast(square, 2, 0.0)
 
 
+def test_solve_fast_rejects_negative_budget(square):
+    # a negative budget would skip the search as if the grid were too large
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        solve_fast(square, 2, 0.2, budget=-1)
+    assert solve_fast(square, 2, 0.2, budget=0).meta["search_complete"] is False
+
+
 def test_solve_fast_deterministic():
     inst = dm.gen_uniform(50, 2, seed=23)
     a = solve_fast(inst, 6, 0.2)

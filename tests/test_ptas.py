@@ -1,11 +1,13 @@
 """Guess-and-round approximation scheme: guess grid, compositions, solve."""
 import math
+import pathlib
+import runpy
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
@@ -211,9 +213,21 @@ def test_solve_bipartition_above_exact_cap_scores_rows_one_by_one():
     # one call per row, then one re-evaluation of each scored guess's pre-image
     assert sol.meta["candidates"] == 10 and calls.call_count == 10 + 10
     assert all(call.kwargs == {"eps": 0.5} for call in calls.call_args_list)
-    # with rows scored exactly, three of the ten would be dominated
+    # with rows scored exactly, C(18, 18) = 1 subset is fewer rows than the
+    # plan's, so one search of it replaces every guess
     with mock.patch.object(ptas, "EXACT_BIPARTITION_CAP", 18):
-        assert solve(inst, obj, 18, 0.5).meta["dominated"] == 3
+        routed = solve(inst, obj, 18, 0.5)
+        assert routed.subset == sol.subset
+        assert {key: routed.meta[key] for key in ("guesses", "repeats", "dominated", "scored",
+                                                  "exact", "candidates", "planned")} == {
+            "guesses": 24, "repeats": 14, "dominated": 9, "scored": 1, "exact": 1,
+            "candidates": 1, "planned": 7}
+        # on 21 points C(21, 18) = 1330 exceeds the plan, and three guesses
+        # are dominated by all-singleton ones
+        wide = solve(dm.gen_clustered(19, 0.01, [(1.0, 0.0), (0.0, 1.0)], seed=1), obj, 18, 0.5)
+        assert {key: wide.meta[key] for key in ("dominated", "scored", "exact", "planned")} == {
+            "dominated": 3, "scored": 4, "exact": 1, "planned": 1216}
+        assert wide.meta["candidates"] == 1216 < math.comb(21, 18)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
@@ -239,6 +253,13 @@ def test_solve_validation(square):
         solve(square, dm.Objective("clique"), 2, 1.0)
     with pytest.raises(ValueError, match="even"):
         solve(square, dm.Objective("bipartition"), 3, 0.5)
+
+
+def test_solve_rejects_negative_budget(square):
+    with pytest.raises(ValueError, match="budget must be >= 0, got -5"):
+        solve(square, dm.Objective("clique"), 2, 0.5, budget=-5)
+    with pytest.raises(BudgetExceededError, match="> budget 0 "):
+        solve(square, dm.Objective("clique"), 2, 0.5, budget=0)
 
 
 def test_solve_budget_exhaustion():
@@ -414,8 +435,162 @@ def test_solve_singleton_guesses_match_count_rows(kind, far):
         (ref.subset, ref.value.hex(), ref.meta)
 
 
+@pytest.mark.parametrize("kind, ks", [("clique", (5, 6)), ("star", (4, 5)),
+                                      ("bipartition", (4, 6))])
+def test_solve_route_is_the_brute_force_search(kind, ks):
+    # a plan predicting more than C(n, k) rows is replaced by one search of
+    # every k-subset: the oracle's subset and value bits at C(n, k) rows.
+    # Other plans score their predicted rows, at most C(n, k)
+    routes = plans = 0
+    for k, q, radius, seed in product(ks, (1.0, 2.0), (0.005, 0.01, 0.02), range(3)):
+        far = [(np.cos(a), np.sin(a)) for a in 2 * np.pi * np.arange(3) / 3 + seed]
+        inst = dm.gen_clustered(11, radius, far, seed=seed, q=q)
+        obj, subsets = dm.Objective(kind, q), math.comb(14, k)
+        sol = solve(inst, obj, k, 0.5)
+        if sol.meta["planned"] > subsets:
+            routes += 1
+            opt = dm.brute_force_opt(inst, obj, k)
+            assert (sol.subset, sol.value.hex()) == (opt.subset, opt.value.hex())
+            assert sol.meta["candidates"] == subsets
+            assert sol.meta["scored"] == sol.meta["exact"] == 1
+            assert sol.guess == (0, build_guess_grid(inst, k)[0] ** q)
+        else:
+            plans += 1
+            assert sol.meta["candidates"] == sol.meta["planned"] <= subsets
+    assert routes > 1 and plans > 1
+
+
+def test_solve_candidates_never_exceed_the_subsets_on_benchmark_inputs():
+    # the benchmark's ptas inputs once scored up to 2.17 x C(n, k) rows
+    build = runpy.run_path(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+                               / "workloads.py"))["build"]
+    worst = 0.0
+    for seed in range(301, 311):
+        for op in build("ptas", seed):
+            inst = dm.MetricInstance.from_points(op.points, q=op.q)
+            sol = solve(inst, dm.Objective(op.objective, op.q), op.k, op.eps)
+            worst = max(worst, sol.meta["candidates"] / math.comb(inst.n, op.k))
+    assert worst <= 1.0
+
+
+def test_plan_reads_one_distance_row_per_center():
+    # every scale is tested against a center's one row; the plan is the one
+    # the scale-major loop below, which reads a row per scale and center, makes
+    inst = dm.gen_clustered(19, 0.01, [(1.0, 0.0), (-0.5, 0.9), (-0.5, -0.9)], seed=4)
+    for kind, k, eps in (("clique", 6, 0.25), ("star", 7, 0.5), ("bipartition", 8, 0.5)):
+        obj, scales = dm.Objective(kind), build_guess_grid(inst, k)
+        dists_from, rows = dm.MetricInstance.dists_from, []
+
+        def spy(self, u, targets=None):
+            if targets is None:
+                rows.append(u)
+            return dists_from(self, u, targets)
+
+        with mock.patch.object(dm.MetricInstance, "dists_from", spy):
+            plan, guesses = ptas._plan(inst, obj, k, eps, scales)
+        assert rows == list(range(inst.n))
+
+        want, made = [], 0
+        seen, problems = set(), set()
+        all_idx = np.arange(inst.n, dtype=np.int64)
+        for si, s in enumerate(scales):
+            for z0 in range(inst.n):
+                inside = tol_leq(inst.dists_from(z0),
+                                 GUESS_SLACK * OUTLIER_RADIUS_COEFF[kind] * s)
+                outliers = all_idx[~inside]
+                if outliers.size > k or (si, outliers.tobytes()) in seen:
+                    continue
+                seen.add((si, outliers.tobytes()))
+                made += 1
+                decomp = ptas.decompose_fixed(inst, all_idx[inside], eps / 2.0 ** 4 * s)
+                problem = (decomp.label.tobytes(), outliers.tobytes())
+                if problem not in problems:
+                    problems.add(problem)
+                    want.append((s, z0, decomp.centers, decomp.label.tolist(),
+                                 outliers.tolist(), [list(c) for c in (
+                                     range(min(size, k), -1, -1)
+                                     for size in np.bincount(decomp.label).tolist())],
+                                 k - int(outliers.size)))
+        got = [(s, z0, d.centers, d.label.tolist(), o.tolist(), [list(c) for c in ch], t)
+               for s, z0, d, o, ch, t in plan]
+        assert (got, guesses) == (want, made)
+        assert len(plan) < made
+
+
+@st.composite
+def bipartition_count_rows(draw):
+    """A d^q block over cell centers plus outlier columns, and the count-row
+    grid of one guess on it.  Integer coordinates tie often, repeated points
+    are coincident centers, and an asymmetric block switches the screen off.
+    Large k draws few rows, so that each example stays quick."""
+    k = 2 * draw(st.integers(1, 8))
+    fixed = draw(st.integers(0, min(k - 1, 3)))
+    cols = draw(st.integers(1 if fixed else 2, 5 if k <= 8 else 3 if k <= 10 else 2))
+    n = cols + fixed
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+    else:
+        pts = rng.uniform(size=(n, 2))
+    if draw(st.booleans()):  # repeated columns: coincident copies of one center
+        pts[rng.integers(0, n, size=n // 2)] = pts[0]
+    inst = dm.MetricInstance.from_points(pts, norm=draw(st.sampled_from(("l1", "l2"))),
+                                         q=draw(st.sampled_from((1.0, 2.0))))
+    dq = inst.pow_matrix()
+    if draw(st.booleans()):
+        dq = dq + np.triu(rng.uniform(size=(n, n)), 1)
+    caps = draw(st.lists(st.integers(0, k - fixed), min_size=cols, max_size=cols))
+    caps[-1] = max(caps[-1], k - fixed - sum(caps[:-1]))  # at least one row
+    choices = [range(c, -1, -1) for c in caps]
+    rows = count_compositions(choices, k - fixed)
+    limit = 400 if k <= 8 else 40
+    block = draw(st.sampled_from((1, 5, 64, 1 << 16) if k <= 8 else (2048, 1 << 16)))
+    return inst, dq, fixed, choices, k - fixed, rows, limit, block
+
+
+@settings(max_examples=300)
+@given(bipartition_count_rows())
+def test_screened_bipartition_rows_pick_the_unscreened_row(case):
+    # the screen only replaces rows below the block's best by -inf, so the
+    # first best row and its value bits are those of scoring every row
+    inst, dq, fixed, choices, total, rows, limit, block = case
+    assume(0 < rows <= limit)
+    obj, scored = dm.Objective("bipartition", inst.q), []
+
+    def full(counts):
+        return np.hstack([counts, np.ones((len(counts), fixed), np.int64)])
+
+    def screened(counts):
+        scored.append(ptas._rounded_values(inst, obj, list(range(len(dq))), dq, counts, 0.5))
+        return scored[-1]
+
+    with mock.patch.object(compositions, "BLOCK_ROWS", 7):
+        want = first_best(enumerate_compositions(choices, total),
+                          lambda c: values("bipartition", dq, full(c)))
+        with mock.patch.object(ptas, "_BLOCK", block):
+            got = first_best(enumerate_compositions(choices, total), screened)
+    assert (got[0].tolist(), got[1].hex()) == (want[0].tolist(), want[1].hex())
+    if not np.array_equal(dq, dq.T):
+        assert all(np.isfinite(v).all() for v in scored)
+
+
+def test_screen_keeps_rows_a_few_ulps_below_the_block_best():
+    # points 0 and 2 coincide, so equal rows sum their terms in different
+    # orders: the first best row's screen falls ulps below the block's best
+    # screen, and only the floor keeps it rescored
+    inst = dm.MetricInstance.from_points([[0.1, 0.1], [0.1, 0.2], [0.1, 0.1]], q=2.0)
+    dq, obj = inst.pow_matrix(), dm.Objective("bipartition", 2.0)
+    choices = [range(6, -1, -1), range(4, -1, -1), range(1, -1, -1)]
+    want = first_best(enumerate_compositions(choices, 10), lambda c: values("bipartition", dq, c))
+    got = first_best(enumerate_compositions(choices, 10),
+                     lambda c: ptas._rounded_values(inst, obj, [0, 1, 2], dq, c, 0.5))
+    assert (got[0].tolist(), got[1].hex()) == (want[0].tolist(), want[1].hex())
+
+
 # subset and value as returned before repeats and dominated guesses were
-# dropped; candidates are the rows scored now, with the former count after #
+# dropped; candidates are the rows scored now, with the former counts after #.
+# The last row's plan predicts 4844 rows, more than C(15, 5) = 3003, so one
+# exact search of every 5-subset replaces it
 FROZEN = [
     ("uniform", (12, 2, 1), "clique", 1.0, 4, 0.3,
      (1, 3, 4, 11), 4.313561933338017, 495),                   # 2354
@@ -432,7 +607,7 @@ FROZEN = [
     ("clustered", (12, 0.01, [[1.0, 0.0], [0.0, 1.0]], 3), "bipartition", 1.0, 6, 0.5,
      (2, 3, 5, 9, 12, 13), 5.4591005916058455, 770),           # 1408
     ("clustered", (14, 0.1, [[2.0, 0.0]], 5), "clique", 2.0, 5, 0.5,
-     (0, 9, 10, 13, 14), 16.89768657355916, 4844),             # 7452
+     (0, 9, 10, 13, 14), 16.89768657355916, 3003),             # 7452, then 4844
 ]
 
 
