@@ -7,6 +7,14 @@ admitted radius.  Fixed mode admits a constant radius; variable mode admits
 ``delta * max(base, d(v, z) / 2)`` for each candidate v, so cells grow with
 distance from the anchor z.
 
+The greedy is resolved ``BATCH`` unassigned positions at a time: a candidate
+is a center unless an earlier center of its batch reaches it, and the centers
+then absorb the unassigned points, each joining the first center reaching it.
+In l1, l2 and linf no coordinate gap exceeds the distance, so a center tests
+only the points in the 3 x 3 bins around its own, bins of the first two
+coordinates as wide as the largest admitted radius.  Every test is a scan's:
+the same ``tol_leq`` on the same distance, so the cells match bit for bit.
+
 The partition is kept in array form: ``points`` lists the decomposed ids in
 ascending order, and ``label`` gives each one's cell as an index into
 ``centers``.  Every solver rounds points to ``centers[label]``, scores count
@@ -42,19 +50,19 @@ class CellDecomposition:
 
 
 # Relative margin added to the bin width, far above both the REL_TOL slack of
-# tol_leq and the rounding of first-coordinate differences.
+# tol_leq and the rounding of coordinate differences.
 BIN_MARGIN = 1e-6
-# Below this many points a scan of every unassigned point costs less than the
-# sweep's sort and its extra array operations per center.  On uniform points
-# in the plane the sweep is 1.1-1.7x slower than the scan at every radius up
-# to 128 points, and first breaks even near 200-256 points, at radii that give
-# more than half as many cells as points.
-SWEEP_MIN_POINTS = 256
+# Unassigned positions whose centers are chosen together (64 bits of a uint64).
+BATCH = 64
+# Distance entries read at once as centers absorb points; a bigger window is read alone.
+CHUNK = 1 << 12
+# Each pair (i, j), i < j, of a batch's candidates, in lexicographic order.
+_PAIRS = np.triu_indices(BATCH, 1)
 
 
 def _bins(x: np.ndarray, reach: float) -> np.ndarray:
-    """Bin of each first coordinate in ``x``: any two points within ``reach``
-    of each other, as ``tol_leq`` judges their distance, land in equal or
+    """Bin of each coordinate in ``x``: any two points within ``reach`` of
+    each other, as ``tol_leq`` judges their distance, land in equal or
     adjacent bins.
 
     Bins are at least ``2**-24`` of the coordinate span wide, so the rounding
@@ -69,81 +77,70 @@ def _bins(x: np.ndarray, reach: float) -> np.ndarray:
     return ((x - low) / width).astype(np.int64)
 
 
-def _next_free(free: np.ndarray, p: int) -> int:
-    """First position at or after ``p`` where ``free`` is set, else its size;
-    scanned in doubling chunks."""
-    if p < free.size and free[p]:
-        return p
-    step = 4096
-    while p < free.size:
-        i = int(free[p:p + step].argmax())
-        if free[p + i]:
-            return p + i
-        p += step
-        step *= 2
-    return free.size
-
-
 def _greedy(inst: MetricInstance, order: np.ndarray,
             allowance: np.ndarray) -> CellDecomposition:
-    """The greedy decomposition of ``order``, swept by first coordinate.
-
-    Centers are taken in index order, as the first unassigned position.  In
-    l1, l2 and linf, ``|x_0 - y_0| <= d(x, y)``, so a center can only absorb
-    points whose first coordinate lies within the largest allowance of its
-    own.  The points are sorted once into bins that wide, and each center
-    tests only the unassigned points of its own bin and the two adjacent
-    ones, with the same ``tol_leq`` on the same distances as a scan of every
-    unassigned point.  Once more than half of the swept points are assigned,
-    they are dropped from the sweep.  A matrix instance has no coordinates to
-    sweep, so each of its centers scans every unassigned point, as do the
-    centers of fewer than ``SWEEP_MIN_POINTS`` points.
-    """
+    """The greedy decomposition of ``order`` (see the module docstring).  The
+    points are swept in bin order, so a center's 3 x 3 bins are three runs of
+    the sweep; a matrix, or coordinates whose distances may overflow, has
+    one bin.  Assigned points leave the sweep once they outnumber the rest."""
     n = order.size
     centers: list[int] = []
-    label = np.empty(n, dtype=np.int64)
-    if inst.points is None or n < SWEEP_MIN_POINTS:
-        remaining = np.arange(n)  # unassigned positions, ascending
-        while remaining.size:
-            c = int(order[remaining[0]])
-            taken = tol_leq(inst.dists_from(c, order[remaining]), allowance[remaining])
-            label[remaining[taken]] = len(centers)
-            centers.append(c)
-            remaining = remaining[~taken]
-        return CellDecomposition(centers, order, label, allowance)
+    label = np.full(n, n, dtype=np.int64)  # by position; n until assigned
+    key, shifts = np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    if inst.points is not None and n:
+        reach = float(allowance.max())
+        if max(inst.points.max(), -inst.points.min()) >= 2.0 ** 500:
+            reach = np.inf  # a distance may overflow to inf, which tol_leq admits
+        src = inst.points if n == inst.n else np.take(inst.points, order, axis=0)
+        key = _bins(src[:, 0], reach)
+        if inst.dim > 1:
+            y = _bins(src[:, 1], reach)
+            stride = int(y.max()) + 2  # keeps a center's y-neighbours in its own row
+            key = key * stride + y
+            shifts = np.array([-stride, 0, stride])
+    perm = np.argsort(key, kind="stable")  # sweep order of the unassigned positions
+    swept = key[perm]
+    p = 0  # every position below p is assigned
+    while (free := np.flatnonzero(label[p:] == n)).size:
+        if 2 * free.size < perm.size:
+            perm = perm[label[perm] == n]
+            swept = key[perm]
+        cand = free[:BATCH] + p
+        p = int(cand[-1]) + 1
 
-    reach = float(allowance.max())
-    if max(inst.points.max(), -inst.points.min()) >= 2.0 ** 500:
-        # a distance may overflow to inf, which tol_leq admits at any radius
-        reach = np.inf
-    key = _bins(inst.points[order, 0], reach)
-    perm = np.argsort(key, kind="stable")  # sweep index -> position
-    key, allow = key[perm], allowance[perm]
-    swept = MetricInstance(n=n, q=inst.q, points=inst.points[order[perm]], norm=inst.norm)
-    rank = np.empty(n, dtype=np.int64)  # position -> sweep index
-    rank[perm] = np.arange(n)
-    free = np.ones(n, dtype=bool)  # by position, to find the next center
-    swept_free = np.ones(n, dtype=bool)
-    swept_taken = 0
-    p = -1
-    while (p := _next_free(free, p + 1)) < n:
-        if 2 * swept_taken > perm.size:
-            perm, key, allow = perm[swept_free], key[swept_free], allow[swept_free]
-            swept = MetricInstance(n=perm.size, q=inst.q, points=swept.points[swept_free],
-                                   norm=inst.norm)
-            rank[perm] = np.arange(perm.size)
-            swept_free = np.ones(perm.size, dtype=bool)
-            swept_taken = 0
-        s = int(rank[p])
-        a = int(key.searchsorted(key[s] - 1))
-        e = int(key.searchsorted(key[s] + 1, side="right"))
-        take = tol_leq(swept.dists_from(s, slice(a, e)), allow[a:e]) & swept_free[a:e]
-        swept_free[a:e][take] = False
-        hit = perm[a:e][take]
-        swept_taken += hit.size
-        free[hit] = False
-        label[hit] = len(centers)
-        centers.append(int(order[p]))
+        # bit j of absorbs[i] is set when candidate i reaches candidate j > i;
+        # j is a center unless an earlier center of the batch reaches it
+        i, j = (a[_PAIRS[1] < cand.size] for a in _PAIRS)
+        hit = tol_leq(inst.dists(order[cand[i]], order[cand[j]]), allowance[cand[j]])
+        absorbs = np.zeros(cand.size, dtype=np.uint64)
+        np.add.at(absorbs, i[hit], np.uint64(1) << j[hit].astype(np.uint64))
+        taken, pick = 0, []
+        for c, bits in enumerate(absorbs.tolist()):
+            if not taken >> c & 1:
+                pick.append(c)
+                taken |= bits
+        first, cand = len(centers), cand[pick]
+        label[cand] = np.arange(first, first + cand.size)
+        centers.extend(order[cand].tolist())
+
+        # the centers absorb the other unassigned points of their runs, about
+        # CHUNK entries at a time; the first center reaching a point wins
+        runs = key[cand][:, None] + shifts
+        lo, hi = swept.searchsorted(runs - 1), swept.searchsorted(runs + 1, side="right")
+        size = (hi - lo).sum(axis=1)
+        ends = np.concatenate([[0], np.cumsum(size)])
+        a = 0
+        while a < cand.size:
+            b = max(a + 1, int(ends.searchsorted(ends[a] + CHUNK, side="right")) - 1)
+            span = (hi[a:b] - lo[a:b]).ravel()
+            at = perm[np.arange(ends[b] - ends[a])
+                      + np.repeat(lo[a:b].ravel() - np.cumsum(span) + span, span)]
+            by = np.repeat(np.arange(a, b), size[a:b])
+            keep = label[at] == n
+            at, by = at[keep], by[keep]
+            take = tol_leq(inst.dists(order[cand[by]], order[at]), allowance[at])
+            np.minimum.at(label, at[take], first + by[take])
+            a = b
     return CellDecomposition(centers, order, label, allowance)
 
 

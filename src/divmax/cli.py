@@ -32,6 +32,7 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 ALGOS = ("brute", "greedy", "ptas", "fast-clique")
+SUBCOMMANDS = ("solve", "gen", "bench")
 
 
 def fmt9(x: float) -> str:
@@ -92,56 +93,57 @@ class RunReport:
         return lines
 
 
-def build_parser() -> _Parser:
+def build_parser(only: str | None = None) -> _Parser:
+    """The divmax parser; the subcommands other than ``only``, if set, get no arguments."""
     p = _Parser(prog="divmax", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
-
     ps = sub.add_parser("solve", help="run one solver on an instance file")
-    ps.add_argument("--in", dest="infile", required=True)
-    ps.add_argument("--objective", required=True,
-                    choices=("clique", "star", "bipartition"))
-    ps.add_argument("--q", type=float, default=1.0)
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--algo", required=True, choices=ALGOS)
-    ps.add_argument("--eps", type=float)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--budget", type=int)
-    ps.add_argument("--oracle", action="store_true",
-                    help="also run the brute-force oracle and report the ratio")
-    ps.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="recorded on the '#' line only; no solver reads it")
-
     pg = sub.add_parser("gen", help="write a generated instance file")
-    gsub = pg.add_subparsers(dest="kind", required=True)
-    gu = gsub.add_parser("uniform")
-    gu.add_argument("--n", type=int, required=True)
-    gu.add_argument("--d", type=int, default=2)
-    gu.add_argument("--seed", type=int, required=True)
-    gu.add_argument("--out", required=True)
-    gc = gsub.add_parser("clustered")
-    gc.add_argument("--n", type=int, required=True, help="cluster point count")
-    gc.add_argument("--radius", type=float, required=True)
-    gc.add_argument("--outliers", default="", help="semicolon-separated points, e.g. '1,0;0,1'")
-    gc.add_argument("--d", type=int)
-    gc.add_argument("--seed", type=int, required=True)
-    gc.add_argument("--out", required=True)
-    gk = gsub.add_parser("ksum")
-    gk.add_argument("--m", required=True, help="comma-separated integers")
-    gk.add_argument("--k", type=int, required=True)
-    gk.add_argument("--t", type=int, required=True)
-    gk.add_argument("--out", required=True)
-    gg = gsub.add_parser("graph12")
-    gg.add_argument("--n", type=int, required=True)
-    gg.add_argument("--p", type=float, required=True, help="edge probability")
-    gg.add_argument("--seed", type=int, required=True)
-    gg.add_argument("--out", required=True)
-
     pb = sub.add_parser("bench", help="run a benchmark suite")
-    pb.add_argument("--suite", required=True, choices=("scaling", "ratios"))
-    pb.add_argument("--out", required=True)
-    pb.add_argument("--fixtures", help="directory of instance files for the ratios suite")
-    pb.add_argument("--eps", type=float, default=0.3)
-
+    if only in (None, "solve"):
+        ps.add_argument("--in", dest="infile", required=True)
+        ps.add_argument("--objective", required=True,
+                        choices=("clique", "star", "bipartition"))
+        ps.add_argument("--q", type=float, default=1.0)
+        ps.add_argument("--k", type=int, required=True)
+        ps.add_argument("--algo", required=True, choices=ALGOS)
+        ps.add_argument("--eps", type=float)
+        ps.add_argument("--seed", type=int)
+        ps.add_argument("--budget", type=int)
+        ps.add_argument("--oracle", action="store_true",
+                        help="also run the brute-force oracle and report the ratio")
+        ps.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="recorded on the '#' line only; no solver reads it")
+    if only in (None, "gen"):
+        gsub = pg.add_subparsers(dest="kind", required=True)
+        gu = gsub.add_parser("uniform")
+        gu.add_argument("--n", type=int, required=True)
+        gu.add_argument("--d", type=int, default=2)
+        gu.add_argument("--seed", type=int, required=True)
+        gu.add_argument("--out", required=True)
+        gc = gsub.add_parser("clustered")
+        gc.add_argument("--n", type=int, required=True, help="cluster point count")
+        gc.add_argument("--radius", type=float, required=True)
+        gc.add_argument("--outliers", default="",
+                        help="semicolon-separated points, e.g. '1,0;0,1'")
+        gc.add_argument("--d", type=int)
+        gc.add_argument("--seed", type=int, required=True)
+        gc.add_argument("--out", required=True)
+        gk = gsub.add_parser("ksum")
+        gk.add_argument("--m", required=True, help="comma-separated integers")
+        gk.add_argument("--k", type=int, required=True)
+        gk.add_argument("--t", type=int, required=True)
+        gk.add_argument("--out", required=True)
+        gg = gsub.add_parser("graph12")
+        gg.add_argument("--n", type=int, required=True)
+        gg.add_argument("--p", type=float, required=True, help="edge probability")
+        gg.add_argument("--seed", type=int, required=True)
+        gg.add_argument("--out", required=True)
+    if only in (None, "bench"):
+        pb.add_argument("--suite", required=True, choices=("scaling", "ratios"))
+        pb.add_argument("--out", required=True)
+        pb.add_argument("--fixtures", help="directory of instance files for the ratios suite")
+        pb.add_argument("--eps", type=float, default=0.3)
     return p
 
 
@@ -215,7 +217,8 @@ def cmd_solve(args) -> int:
         print(f"# guesses: {m['guesses']} planned, {m['repeats']} repeats, "
               f"{m['dominated']} dominated, {m['scored']} scored ({m['exact']} exact); "
               f"{m['candidates']} candidates = {m['candidates'] / subsets:.2f} x {c}"
-              + (f"; exact search of {c} = {subsets} < {m['planned']} planned" if route else ""))
+              + (f"; exact search of {c} = {subsets} < {m['planned']} rows planned"
+                 if route else ""))
     return EXIT_OK
 
 
@@ -371,7 +374,8 @@ def _bench_ratios(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

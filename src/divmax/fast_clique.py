@@ -137,7 +137,8 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     assert free_k > 0 or fixed == k
 
     caps = np.minimum(sizes[inside], k).tolist()
-    ladders = [multiplicity_ladder(c, eps) for c in caps]
+    ladder_of = {c: multiplicity_ladder(c, eps) for c in set(caps)}  # caps <= k: k + 1 at most
+    ladders = [ladder_of[c] for c in caps]
     predicted = count_compositions(ladders, free_k, at_most=True)
     meta = {"search_complete": predicted <= budget, "candidates": 0,
             "predicted_candidates": predicted, "budget": budget, "swaps": 0,

@@ -108,27 +108,25 @@ class MetricInstance:
     def dist(self, u: int, v: int) -> float:
         self._check_index(u)
         self._check_index(v)
-        if self.matrix is not None:
-            return float(self.matrix[u, v])
-        return float(_norm_of(self.points[u] - self.points[v], self.norm))
+        return float(self.dists(u, v))
 
     def dist_pow(self, u: int, v: int) -> float:
         d = self.dist(u, v)
         return d if self.q == 1.0 else d ** self.q
 
     def dists_from(self, u: int, targets=None) -> np.ndarray:
-        """Plain (unpowered) distances from ``u`` to ``targets``: all points by
-        default, else an index array or a ``slice`` of indices, which reads
-        its block without a gather."""
+        """Plain (unpowered) distances from ``u`` to ``targets``, an index
+        array; all points by default."""
         self._check_index(u)
-        if targets is None:
-            targets = slice(None)
-        elif not isinstance(targets, slice):
-            targets = np.asarray(targets, dtype=np.int64)
+        return self.dists(u, None if targets is None else np.asarray(targets, dtype=np.int64))
+
+    def dists(self, rows, cols=None) -> np.ndarray:
+        """Plain distances from ``rows`` to ``cols`` (default: every point),
+        index arrays paired elementwise; ``rows`` may be one index."""
         if self.matrix is not None:
-            row = self.matrix[u][targets]
-            return row.copy() if isinstance(targets, slice) else row
-        return _norm_of(self.points[targets] - self.points[u], self.norm)
+            return self.matrix[rows].copy() if cols is None else self.matrix[rows, cols]
+        at = self.points if cols is None else np.take(self.points, cols, axis=0)
+        return _norm_of(at - np.take(self.points, rows, axis=0), self.norm)
 
     def pow_submatrix(self, rows, cols=None) -> np.ndarray:
         """q-th-power distances from ``rows`` to ``cols`` (default: ``rows``),

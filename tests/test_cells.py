@@ -1,5 +1,6 @@
 """Greedy cell decompositions (fixed and variable radius) and the lift to points."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
-from divmax import cells
+from divmax import cells, cli
 from divmax.cells import decompose_fixed, decompose_variable, lift
 from divmax.metric import tol_leq
 
@@ -154,38 +155,90 @@ LAYOUTS = (["uniform", "clustered", "coincident", "scaled-1e-200", "scaled-1e200
            + [f"grid-{norm}-{dim}" for norm in ("l1", "l2", "linf") for dim in range(1, 6)])
 
 
+# Batch and chunk sizes under test: batches of 1 and 5 cut through cells, and
+# chunks of 1 and 7 cut through the windows of a batch's centers.
+BATCH_CHUNK = [(batch, chunk) for batch in (1, 5, cells.BATCH) for chunk in (1, 7, cells.CHUNK)]
+
+
+def decompositions(monkeypatch, decompose, *args):
+    """``decompose(*args)`` at every size in ``BATCH_CHUNK``."""
+    for batch, chunk in BATCH_CHUNK:
+        monkeypatch.setattr(cells, "BATCH", batch)
+        monkeypatch.setattr(cells, "CHUNK", chunk)
+        yield decompose(*args)
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_decompositions_match_per_point_loop(layout, seed, monkeypatch):
-    monkeypatch.setattr(cells, "SWEEP_MIN_POINTS", 2)  # sweep these small sets too
     inst, radii, rng = layout_case(layout, seed)
     n = inst.n
     sub = sorted(int(i) for i in rng.choice(n, size=n // 2, replace=False))
     for subset, order in ((None, list(range(n))), (sub, sub)):
         for delta in radii:
-            dec = decompose_fixed(inst, subset, delta)
-            assert_same_decomposition(dec, order,
-                                      reference_greedy(inst, order, [delta] * len(order)))
+            ref = reference_greedy(inst, order, [delta] * len(order))
+            for dec in decompositions(monkeypatch, decompose_fixed, inst, subset, delta):
+                assert_same_decomposition(dec, order, ref)
             if layout != "scaled-1e200":  # distances overflow to inf there
                 dec.check(inst)
         z = order[len(order) // 3]
         dz = inst.dists_from(z)
         for base in (0.02, radii[1]):
             for delta in (0.05, 0.3, 1.0):
-                dec = decompose_variable(inst, subset, z, base, delta)
                 allow = [delta * max(base, float(dz[v]) / 2.0) for v in order]
-                assert_same_decomposition(dec, order, reference_greedy(inst, order, allow))
+                ref = reference_greedy(inst, order, allow)
+                for dec in decompositions(monkeypatch, decompose_variable, inst, subset, z,
+                                          base, delta):
+                    assert_same_decomposition(dec, order, ref)
                 if layout != "scaled-1e200":
                     dec.check(inst)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from(["l1", "l2", "linf"]),
+       st.sampled_from(["points", "coincident", "graph12"]), st.booleans(),
+       st.sampled_from(BATCH_CHUNK))
+def test_batched_greedy_matches_reference(seed, dim, norm, layout, variable, sizes):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 90))
+    if layout == "graph12":
+        adj = np.triu(rng.uniform(size=(n, n)) < rng.uniform(0.1, 0.9), 1)
+        inst = dm.gen_graph_12metric(adj | adj.T)
+        radii = (0.0, 1.0, 1.5, 2.0)
+    else:
+        pts = rng.random((n, dim))
+        if layout == "coincident":
+            pts = pts[rng.integers(0, max(1, n // 6), n)]
+        inst = dm.MetricInstance.from_points(pts, norm=norm)
+        radii = (0.0, 0.05, 0.2, 0.6)
+    subset = sorted(int(i) for i in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                               replace=False))
+    delta = radii[int(rng.integers(len(radii)))]
+    cells.BATCH, cells.CHUNK = sizes
+    try:
+        if variable:
+            z = subset[int(rng.integers(len(subset)))]
+            dz = inst.dists_from(z)
+            dec = decompose_variable(inst, subset, z, 0.1, delta)
+            allow = [delta * max(0.1, float(dz[v]) / 2.0) for v in subset]
+        else:
+            dec = decompose_fixed(inst, subset, delta)
+            allow = [delta] * len(subset)
+    finally:
+        cells.BATCH, cells.CHUNK = BATCH_CHUNK[-1]
+    assert_same_decomposition(dec, subset, reference_greedy(inst, subset, allow))
+
+
 def test_sweep_reaches_points_admitted_by_the_tolerance(monkeypatch):
     # the center sits 1e-10 below a bin edge at width 1, and the third point
-    # lies 1 + 5e-10 from it, inside tol_leq's slack but beyond the next bin
-    inst = line_inst(1.0 - 1e-10, 2.0 + 4e-10, 0.0)
-    monkeypatch.setattr(cells, "SWEEP_MIN_POINTS", 2)
-    dec = decompose_fixed(inst, None, 1.0)
-    assert dec.centers == [0] and dec.label.tolist() == [0, 0, 0]
+    # lies 1 + 5e-10 from it, inside tol_leq's slack but beyond the next bin;
+    # in the plane the same holds along the second coordinate
+    line = line_inst(1.0 - 1e-10, 2.0 + 4e-10, 0.0)
+    plane = dm.MetricInstance.from_points([[0.0, 1.0 - 1e-10], [0.0, 2.0 + 4e-10],
+                                           [0.0, 0.0]])
+    for inst in (line, plane):
+        for dec in decompositions(monkeypatch, decompose_fixed, inst, None, 1.0):
+            assert dec.centers == [0] and dec.label.tolist() == [0, 0, 0]
 
 
 def test_sweep_scans_a_small_share_of_the_unassigned_points(monkeypatch):
@@ -193,19 +246,44 @@ def test_sweep_scans_a_small_share_of_the_unassigned_points(monkeypatch):
     # points of its own and all later cells
     inst = dm.gen_uniform(20000, 2, seed=0)
     read = []
-    dists_from = dm.MetricInstance.dists_from
+    dists = dm.MetricInstance.dists
 
-    def spy(self, u, targets=None):
-        d = dists_from(self, u, targets)
+    def spy(self, *args):
+        d = dists(self, *args)
         read.append(d.size)
         return d
 
-    monkeypatch.setattr(dm.MetricInstance, "dists_from", spy)
+    monkeypatch.setattr(dm.MetricInstance, "dists", spy)
     dec = decompose_fixed(inst, None, 0.02)
     sizes = np.bincount(dec.label)
     rescans = int((inst.n - np.cumsum(sizes) + sizes).sum())
-    assert len(dec.centers) > 100 and len(read) == len(dec.centers)
-    assert sum(read) < 0.1 * rescans
+    assert len(dec.centers) > 100 and len(read) < len(dec.centers) / 10
+    assert sum(read) < 0.03 * rescans
+
+
+def test_decomposition_peak_memory_stays_below_the_sweeps():
+    # 7402448 bytes is the tracemalloc peak of the single-coordinate sweep
+    # that the batched loop replaced, on this instance and radius (numpy 2.4)
+    inst = cli._scaling_instance(80_000, 1237)
+    decompose_fixed(inst, None, 0.06)  # first-call allocations are not the loop's
+    tracemalloc.start()
+    try:
+        dec = decompose_fixed(inst, None, 0.06)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.centers) == 4 and peak <= 7_402_448
+
+
+def test_nan_allowance_makes_its_own_center():
+    # delta 0 times an anchor distance that overflows to inf is a nan
+    # allowance, which admits nothing, not even the point itself; such a
+    # point still opens its own cell rather than being scanned forever
+    inst = dm.MetricInstance.from_points([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dec = decompose_variable(inst, None, 0, 1.0, 0.0)
+    assert np.isnan(dec.allowance[1:]).all()
+    assert dec.centers == [0, 1, 2] and dec.label.tolist() == [0, 1, 2]
 
 
 def test_radius_must_be_a_number(square):

@@ -134,7 +134,7 @@ def test_solve_ptas_guesses_line_names_the_exact_route(capsys, tmp_path):
     assert code == 0
     guesses = [line for line in out.splitlines() if line.startswith("# guesses: ")]
     assert guesses[0].endswith("; 3003 candidates = 1.00 x C(15,5); "
-                               "exact search of C(15,5) = 3003 < 4844 planned")
+                               "exact search of C(15,5) = 3003 < 4844 rows planned")
     assert ", 1 scored (1 exact);" in guesses[0]
     assert "candidates=3003 " in result_line(out) and "planned" not in result_line(out)
     code, _, err = run(capsys, argv + ["--budget", "3002"])
@@ -424,6 +424,42 @@ def test_bench_unknown_suite_usage(capsys, tmp_path):
     code, _, err = run(capsys, ["bench", "--suite", "scaling", "--threads", "2",
                                 "--out", str(tmp_path / "o.tsv")])
     assert code == 1 and "--threads" in err
+
+
+def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def spy(only=None):
+        built.append(only)
+        return build(only)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(capsys, ["solve", "--help"])[0] == 0
+    assert run(capsys, ["gen", "uniform", "--help"])[0] == 0
+    assert run(capsys, ["--help"])[0] == 0
+    assert run(capsys, ["nope"])[0] == 1
+    assert built == ["solve", "gen", None, None]
+
+
+def test_help_and_usage_errors_match_the_full_parser(capsys):
+    # the top-level help lists every subcommand, a subcommand's help is the
+    # one the full parser prints, and an unknown subcommand or an argument
+    # no parser recognises is the same usage error with the same exit code
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0 and "{solve,gen,bench}" in out
+    assert all(f"    {cmd}  " in out for cmd in ("solve", "gen", "bench"))
+    solve = ["solve", "--in", "f", "--objective", "clique", "--k", "3", "--algo", "greedy"]
+    for argv in (["solve", "--help"], ["gen", "ksum", "--help"], ["bench", "--help"],
+                 ["nope"], ["solve", "--k", "3"], solve + ["--bogus"],
+                 ["gen", "uniform", "--n", "5", "--seed", "1", "--out", "f", "--bogus"],
+                 ["bench", "--suite", "ratios", "--out", "f", "--bogus"]):
+        code, out, err = run(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        full_out, full_err = capsys.readouterr()
+        assert (out, err) == (full_out, full_err)
+        assert code == (exc.value.code or 0)
 
 
 @pytest.mark.parametrize("script", ("make_fixtures.py", "run_benchmarks.py"))

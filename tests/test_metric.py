@@ -118,6 +118,20 @@ def test_dists_from_targets(line4):
     np.testing.assert_allclose(line4.dists_from(0, [3, 1]), [3.0, 1.0])
 
 
+def test_dists_pairs_rows_with_cols(line4, square):
+    # dists pairs its index arrays elementwise with the bits of dist and
+    # dists_from; a full matrix row comes back as a copy, not a view
+    matrix = dm.MetricInstance.from_matrix(square.pow_matrix())
+    for inst in (line4, square, matrix):
+        rows, cols = np.array([0, 3, 1, 2]), np.array([3, 0, 1, 0])
+        d = inst.dists(rows, cols)
+        assert d.tolist() == [inst.dist(int(r), int(c)) for r, c in zip(rows, cols)]
+        assert d.tolist() == [float(inst.dists_from(int(r), [c])[0]) for r, c in zip(rows, cols)]
+    row = matrix.dists_from(1)
+    row[:] = -1.0
+    assert matrix.dist(1, 0) == 1.0
+
+
 # ------------------------------------------------- diameter estimate, balls
 
 def test_diameter_estimate_examples(square):
