@@ -91,10 +91,10 @@ def _greedy(inst: MetricInstance, order: np.ndarray,
         reach = float(allowance.max())
         if max(inst.points.max(), -inst.points.min()) >= 2.0 ** 500:
             reach = np.inf  # a distance may overflow to inf, which tol_leq admits
-        src = inst.points if n == inst.n else np.take(inst.points, order, axis=0)
-        key = _bins(src[:, 0], reach)
-        if inst.dim > 1:
-            y = _bins(src[:, 1], reach)
+        xy = [x if n == inst.n else np.take(x, order) for x in inst.points.T[:2]]
+        key = _bins(xy[0], reach)
+        if len(xy) > 1:
+            y = _bins(xy[1], reach)
             stride = int(y.max()) + 2  # keeps a center's y-neighbours in its own row
             key = key * stride + y
             shifts = np.array([-stride, 0, stride])
@@ -165,7 +165,8 @@ def decompose_variable(inst: MetricInstance, subset, z: int, base: float,
     """Greedy decomposition whose admitted radius grows with distance from ``z``.
 
     Point v may join a cell whose center is within
-    ``delta * max(base, d(v, z) / 2)`` of it.
+    ``delta * max(base, d(v, z) / 2)`` of it; a zero ``delta`` admits 0, even
+    where d(v, z) overflows to inf.
     """
     if not base > 0:
         raise ValueError(f"base radius must be positive, got {base}")
@@ -174,6 +175,8 @@ def decompose_variable(inst: MetricInstance, subset, z: int, base: float,
     order = _subset_order(inst, subset)
     if not (order == int(z)).any():
         raise ValueError(f"anchor {z} must belong to the decomposed subset")
+    if not delta:
+        return _greedy(inst, order, np.zeros(order.shape))
     dz = inst.dists_from(int(z), order)
     return _greedy(inst, order, delta * np.maximum(base, dz / 2.0))
 

@@ -1,13 +1,20 @@
 """Finite metric spaces with coordinate or matrix backends and q-th-power distances.
 
 An instance is a set of n points together with a metric d and an exponent
-q >= 1.  All algorithms in this package work on d^q through ``dist_pow`` and
-``MetricInstance.pow_submatrix``, the one accessor for square and rectangular
-distance blocks, so the backend (raw coordinates under an lp norm, or an
-explicit distance matrix) is invisible to them.
+q >= 1.  All algorithms in this package read distances through
+``MetricInstance.dists`` (index arrays paired elementwise, or broadcast into a
+block as ``pow_submatrix`` does) and the accessors built on it, so the backend
+(raw coordinates under an lp norm, or an explicit distance matrix) is
+invisible to them.
+
+Coordinates are stored column-major, one contiguous length-n array per
+coordinate, and every coordinate distance comes from one kernel,
+``_norm_of``, which accumulates the norm one coordinate column at a time.
 """
 from __future__ import annotations
 
+import codecs
+import io
 import os
 import stat
 import warnings
@@ -24,6 +31,10 @@ NORMS = ("l1", "l2", "linf")
 
 # Characters of an instance file read and parsed at a time.
 LOAD_CHUNK_CHARS = 1 << 16
+# Body bytes per part: a larger body is parsed in ceil(body / PART_BYTES)
+# parts, at most one per CPU, each in its own process.  On 2 shared vCPUs two
+# parts of about 190 KB took as long as one part of 380 KB.
+PART_BYTES = 1 << 19
 
 
 def tol_leq(a, b, tol: float = REL_TOL):
@@ -32,19 +43,28 @@ def tol_leq(a, b, tol: float = REL_TOL):
     return a <= b + tol * np.maximum(np.abs(a), np.abs(b))
 
 
-def _norm_of(diff: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "l2":
-        return np.sqrt(np.einsum("...i,...i->...", diff, diff))
-    if norm == "l1":
-        return np.abs(diff).sum(axis=-1)
-    if norm == "linf":
-        return np.abs(diff).max(axis=-1)
-    raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
-
-
-def pairwise_distances(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
-    """All distances between rows of ``a`` and rows of ``b``."""
-    return _norm_of(a[:, None, :] - b[None, :, :], norm)
+def _norm_of(pairs, norm: str) -> np.ndarray:
+    """The ``norm`` of the differences ``x - y`` over ``pairs``, one pair of
+    broadcastable arrays per coordinate, summed one coordinate at a time in
+    place.  A difference too large for a float gives an infinite distance,
+    without a warning."""
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+    acc = None
+    with np.errstate(over="ignore"):
+        for x, y in pairs:
+            d = np.subtract(x, y)
+            if norm == "l2":
+                np.multiply(d, d, out=d)
+            else:
+                np.abs(d, out=d)
+            if acc is None:
+                acc = d
+            elif norm == "linf":
+                np.maximum(acc, d, out=acc)
+            else:
+                acc += d
+    return np.sqrt(acc, out=acc) if norm == "l2" else acc
 
 
 @dataclass
@@ -52,8 +72,9 @@ class MetricInstance:
     """n points, a metric d, and the exponent q used by power distances.
 
     Exactly one of ``points`` (coordinate backend) or ``matrix`` (explicit
-    distances) is set.  Instances are treated as immutable; ``with_q`` returns
-    a cheap copy sharing the backing arrays.
+    distances) is set.  ``points`` is column-major: ``points.T`` holds one
+    contiguous array per coordinate.  Instances are treated as immutable;
+    ``with_q`` returns a cheap copy sharing the backing arrays.
     """
 
     n: int
@@ -66,8 +87,8 @@ class MetricInstance:
     @classmethod
     def from_points(cls, points, norm: str = "l2", q: float = 1.0) -> "MetricInstance":
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError("points must be a 2-d array of shape (n, D)")
+        if pts.ndim != 2 or not pts.shape[1]:
+            raise ValueError("points must be a 2-d array of shape (n, D), D >= 1")
         if pts.shape[0] < 2:
             raise ValueError("need at least 2 points")
         if norm not in NORMS:
@@ -75,7 +96,7 @@ class MetricInstance:
         if not q >= 1.0:
             raise ValueError(f"exponent q must be >= 1, got {q}")
         _check_finite(pts, "coordinate")
-        return cls(n=pts.shape[0], q=float(q), points=pts, norm=norm)
+        return cls(n=pts.shape[0], q=float(q), points=np.asfortranarray(pts), norm=norm)
 
     @classmethod
     def from_matrix(cls, entries, q: float = 1.0, validate: bool = False) -> "MetricInstance":
@@ -108,7 +129,7 @@ class MetricInstance:
     def dist(self, u: int, v: int) -> float:
         self._check_index(u)
         self._check_index(v)
-        return float(self.dists(u, v))
+        return float(self.dists(u, [v])[0])
 
     def dist_pow(self, u: int, v: int) -> float:
         d = self.dist(u, v)
@@ -122,21 +143,18 @@ class MetricInstance:
 
     def dists(self, rows, cols=None) -> np.ndarray:
         """Plain distances from ``rows`` to ``cols`` (default: every point),
-        index arrays paired elementwise; ``rows`` may be one index."""
+        index arrays broadcast against each other: paired elementwise, or a
+        block when ``rows`` is a column; ``rows`` may be one index."""
         if self.matrix is not None:
             return self.matrix[rows].copy() if cols is None else self.matrix[rows, cols]
-        at = self.points if cols is None else np.take(self.points, cols, axis=0)
-        return _norm_of(at - np.take(self.points, rows, axis=0), self.norm)
+        return _norm_of(((x if cols is None else np.take(x, cols), np.take(x, rows))
+                         for x in self.points.T), self.norm)
 
     def pow_submatrix(self, rows, cols=None) -> np.ndarray:
         """q-th-power distances from ``rows`` to ``cols`` (default: ``rows``),
         as a dense block."""
         ri = np.asarray(rows, dtype=np.int64)
-        ci = ri if cols is None else np.asarray(cols, dtype=np.int64)
-        if self.matrix is not None:
-            d = self.matrix[np.ix_(ri, ci)]
-        else:
-            d = pairwise_distances(self.points[ri], self.points[ci], self.norm)
+        d = self.dists(ri[:, None], ri if cols is None else np.asarray(cols, dtype=np.int64))
         return d if self.q == 1.0 else d ** self.q
 
     def pow_matrix(self) -> np.ndarray:
@@ -233,15 +251,25 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
     signed; ``inf``, ``nan``, underscores and non-ASCII digits are rejected.
     Blank lines may follow the last row and nowhere else.  The body is read
     from the file in chunks of about ``LOAD_CHUNK_CHARS`` characters, each
-    parsed by one ``numpy.loadtxt`` call into a preallocated array; only in a
+    parsed by one ``numpy.loadtxt`` call into a preallocated array (for
+    points, column-major: one contiguous array per coordinate); only in a
     chunk that fails are the lines searched for the first one that does not
     parse, whose number the ``InstanceParseError`` carries.  A wrong number
     of rows is reported before any bad line.  A body that parses but holds a
     non-finite value is refused with the number of its first such line.  The
     exponent q is not stored in the file; it is supplied by the caller.
+
+    A UTF-8 regular file whose body exceeds ``PART_BYTES`` is parsed in
+    parts on Linux: min(CPUs this process may run on, body / ``PART_BYTES``
+    rounded up) byte ranges cut after a newline, the first parsed here and
+    each other by a forked child into one shared buffer.  A body that any
+    part finds at fault is parsed again here as one part, so every error and
+    its line number are those of the one-part parse.
     """
-    with open(path) as fh:
-        first = fh.readline().splitlines()
+    with open(path, "rb") as raw:
+        header = raw.readline()
+        fh = io.TextIOWrapper(raw)
+        first = header.decode(fh.encoding).splitlines()
         if not first or not first[0].strip():
             raise InstanceParseError("line 1: empty file, expected a header line")
         header = first[0]
@@ -259,7 +287,7 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
             if norm not in NORMS:
                 raise InstanceParseError(
                     f"line 1: unknown norm {norm!r}; expected one of {NORMS}")
-            rows = _read_rows(fh, first[1:], n, d, what="coordinate")
+            rows = _read_rows(fh, first[1:], n, d, what="coordinate", order="F")
             return MetricInstance.from_points(rows, norm=norm, q=q)
         if head[0] == "matrix":
             if len(head) != 2:
@@ -268,7 +296,7 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
                 n = int(head[1])
             except ValueError:
                 raise InstanceParseError(f"line 1: non-integer size in {header!r}") from None
-            rows = _read_rows(fh, first[1:], n, n, what="distance")
+            rows = _read_rows(fh, first[1:], n, n, what="distance", order="C")
             return MetricInstance.from_matrix(rows, q=q, validate=validate)
     raise InstanceParseError(
         f"line 1: unknown header {head[0]!r}; expected 'points' or 'matrix'")
@@ -296,19 +324,15 @@ def _line_chunks(fh, lines: list[str]):
         yield (text + fh.readline()).splitlines()
 
 
-def _read_rows(fh, lines: list[str], n: int, width: int, what: str) -> np.ndarray:
-    """The n body rows of ``width`` values that follow the header: ``lines``,
-    then the rest of ``fh``."""
-    if n < 2:
-        raise InstanceParseError(f"line 1: need at least 2 points, got n={n}")
-    # A valid body spends at least 2 bytes per value, so a header whose n
-    # cannot fit in the file allocates nothing; the checks below then fail.
-    info = os.fstat(fh.fileno())
-    fits = not stat.S_ISREG(info.st_mode) or 2 * n * width <= info.st_size
-    rows = np.empty((n, width)) if fits else None
-    read = body = 0  # lines read after the header; lines up to the last non-blank one
+def _scan(chunks, rows: np.ndarray | None, read: int, n: int, width: int):
+    """Parse the first n body rows among the lines of ``chunks`` into ``rows``;
+    ``read`` is the body line number of the first line.  Returns the line
+    number after the last line, the one after the last non-blank line (0 if
+    none), the first chunk holding a line that does not parse as
+    ``(line, lines)``, and the first non-finite value as ``(line, token)``."""
+    body = 0
     bad = non_finite = None
-    for chunk in _line_chunks(fh, lines):
+    for chunk in chunks:
         at, read = read, read + len(chunk)
         last = len(chunk)
         while last and not chunk[last - 1].strip():
@@ -327,6 +351,111 @@ def _read_rows(fh, lines: list[str], n: int, width: int, what: str) -> np.ndarra
         cell = _first_non_finite(got) if non_finite is None else None
         if cell is not None:
             non_finite = at + cell[0], part[cell[0]].split()[cell[1]]
+    return read, body, bad, non_finite
+
+
+def _part_chunks(fd: int, lo: int, hi: int):
+    """The UTF-8 lines of bytes ``[lo, hi)`` of ``fd``, ``lo`` at a line start,
+    in lists of about ``LOAD_CHUNK_CHARS`` bytes cut after a newline (longer
+    where one line is).  ``os.pread`` leaves the shared file offset alone."""
+    size = LOAD_CHUNK_CHARS
+    while lo < hi:
+        want = min(size, hi - lo)
+        block = os.pread(fd, want, lo)
+        if not block:
+            return
+        cut = block.rfind(b"\n") + 1 if len(block) == want < hi - lo else len(block)
+        size = LOAD_CHUNK_CHARS if cut else 2 * size
+        if cut:
+            yield block[:cut].decode("utf-8").splitlines()
+            lo += cut
+
+
+def _part_holds(fd: int, lo: int, hi: int, rows: np.ndarray, at: int, end: int | None,
+                n: int, width: int) -> bool:
+    """Parse bytes ``[lo, hi)``, whose first line is body line ``at``, into
+    ``rows``.  True when each of its lines below n parses and is finite, each
+    line from n on is blank, and it ends at body line ``end`` (the last part,
+    ``end`` None, must reach line n): exactly when a one-part parse of the
+    whole body would accept this part's lines."""
+    try:
+        read, body, bad, non_finite = _scan(_part_chunks(fd, lo, hi), rows, at, n, width)
+    except UnicodeDecodeError:
+        return False
+    return (bad is None and non_finite is None and body <= n
+            and (read >= n if end is None else read == end))
+
+
+def _read_parts(fd: int, start: int, size: int, parts: int, n: int, width: int,
+                order: str) -> tuple[np.ndarray, bool]:
+    """The n body rows in bytes ``[start, size)`` of ``fd``, parsed in
+    ``parts`` parts, the first here and each other in a forked child, into a
+    shared buffer; and whether every part held (see ``_part_holds``)."""
+    import mmap  # only a split parse needs it
+
+    # cut after the first newline at or past each equal share of the bytes,
+    # counting the newlines before each cut: the part's first line number
+    cuts, firsts, pos, lines = [start], [0], start, 0
+    for i in range(1, parts):
+        target = start + (size - start) * i // parts
+        while block := os.pread(fd, LOAD_CHUNK_CHARS, pos):
+            j = block.find(b"\n", max(0, target - pos)) + 1
+            lines += block.count(b"\n", 0, j or len(block))
+            pos += j or len(block)
+            if j:
+                break
+        cuts.append(pos)
+        firsts.append(lines)
+    cuts.append(size)
+    ends = firsts[1:] + [None]
+
+    rows = np.ndarray((n, width), buffer=mmap.mmap(-1, 8 * n * width), order=order)
+    children = []
+    held = False
+    try:
+        for i in range(1, parts):
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: parse the body as one part
+                return rows, False
+            if pid == 0:  # the child parses its part, exits 0 if it held, and never returns
+                code = 1
+                try:
+                    code = 0 if _part_holds(fd, cuts[i], cuts[i + 1], rows, firsts[i],
+                                            ends[i], n, width) else 1
+                finally:
+                    os._exit(code)
+            children.append(pid)
+        held = _part_holds(fd, cuts[0], cuts[1], rows, 0, ends[0], n, width)
+    finally:
+        for pid in children:
+            held = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and held
+    return rows, held
+
+
+def _read_rows(fh, lines: list[str], n: int, width: int, what: str,
+               order: str) -> np.ndarray:
+    """The n body rows of ``width`` values that follow the header: ``lines``,
+    then the rest of ``fh``; stored in ``order`` ("F" column-major, "C" row-major)."""
+    if n < 2:
+        raise InstanceParseError(f"line 1: need at least 2 points, got n={n}")
+    # A valid body spends at least 2 bytes per value, so a header whose n
+    # cannot fit in the file allocates nothing; the checks below then fail.
+    info = os.fstat(fh.fileno())
+    regular = stat.S_ISREG(info.st_mode)
+    start = fh.buffer.tell() if regular else info.st_size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = min(cpus, -(-(info.st_size - start) // PART_BYTES))
+    if regular and 2 * n * width > info.st_size:
+        rows = None
+    elif (parts > 1 and width > 0 and not lines and hasattr(os, "fork")
+          and codecs.lookup(fh.encoding).name == "utf-8"):
+        rows, held = _read_parts(fh.fileno(), start, info.st_size, parts, n, width, order)
+        if held:
+            return rows
+    else:
+        rows = np.empty((n, width), order=order)
+    read, body, bad, non_finite = _scan(_line_chunks(fh, lines), rows, 0, n, width)
     if body != n:
         raise InstanceParseError(
             f"line {read + 1}: expected {n} {what} rows, found {body}")

@@ -399,8 +399,8 @@ def test_c9_determinism(tmp_path, capsys):
                     if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     one_thread = {**blas_default, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
-    def run(args, env=env):
-        r = subprocess.run([sys.executable, "-m", "divmax.cli", *args],
+    def run(args, env=env, pin=None):
+        r = subprocess.run([sys.executable, "-m", "divmax.cli", *args], preexec_fn=pin,
                            capture_output=True, text=True, cwd=str(tmp_path), env=env)
         assert r.returncode == 0, r.stderr
         return [l for l in r.stdout.splitlines() if l.startswith("RESULT ")]
@@ -439,7 +439,18 @@ def test_c9_determinism(tmp_path, capsys):
         checks += 1
         failures += run(argv, blas_default) != run(argv, one_thread)
 
+    # a body above PART_BYTES is parsed in one part per CPU, and as one part
+    # by a process pinned to one CPU; the answers must not differ
+    run(["gen", "uniform", "--n", "60000", "--seed", "11", "--out", "c.txt"])
+    assert (tmp_path / "c.txt").stat().st_size > dm.metric.PART_BYTES
+    if hasattr(os, "sched_setaffinity"):
+        cpu = min(os.sched_getaffinity(0))
+        argv = ["solve", "--in", "c.txt", "--objective", "clique", "--k", "4",
+                "--algo", "fast-clique", "--eps", "0.5", "--seed", "7"]
+        checks += 1
+        failures += run(argv, pin=lambda: os.sched_setaffinity(0, {cpu})) != run(argv)
+
     ok = failures == 0
     _report(capsys, 9, "determinism", ok,
             f"{checks} byte-identity checks (reruns, thread counts, BLAS threads, "
-            f"file bytes), {failures} mismatches")
+            f"CPUs loading, file bytes), {failures} mismatches")

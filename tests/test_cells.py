@@ -1,6 +1,7 @@
 """Greedy cell decompositions (fixed and variable radius) and the lift to points."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -276,14 +277,25 @@ def test_decomposition_peak_memory_stays_below_the_sweeps():
 
 
 def test_nan_allowance_makes_its_own_center():
-    # delta 0 times an anchor distance that overflows to inf is a nan
-    # allowance, which admits nothing, not even the point itself; such a
-    # point still opens its own cell rather than being scanned forever
+    # a nan allowance admits nothing, not even the point itself; such a point
+    # still opens its own cell rather than being scanned forever
     inst = dm.MetricInstance.from_points([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        dec = decompose_variable(inst, None, 0, 1.0, 0.0)
-    assert np.isnan(dec.allowance[1:]).all()
+    order = np.arange(3)
+    dec = cells._greedy(inst, order, np.array([0.0, np.nan, np.nan]))
     assert dec.centers == [0, 1, 2] and dec.label.tolist() == [0, 1, 2]
+
+
+def test_zero_delta_admits_radius_zero():
+    # delta 0 admits radius 0 even where the anchor distance overflows to
+    # inf; 0 * inf would be a nan allowance that check rejects
+    inst = dm.MetricInstance.from_points([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dec = decompose_variable(inst, None, 0, 1.0, 0.0)
+        dec.check(inst)
+    assert dec.allowance.tolist() == [0.0, 0.0, 0.0]
+    fixed = decompose_fixed(inst, None, 0.0)
+    assert dec.centers == fixed.centers and dec.label.tolist() == fixed.label.tolist()
 
 
 def test_radius_must_be_a_number(square):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import divmax as dm
 from divmax import metric
 from divmax.errors import InstanceParseError, MetricValidationError
-from divmax.metric import REL_TOL, pairwise_distances, tol_leq
+from divmax.metric import REL_TOL, tol_leq
 
 from conftest import exact_diameter
 
@@ -68,6 +68,8 @@ def test_construction_validation():
         dm.MetricInstance.from_matrix([[0.0, 1.0]])
     with pytest.raises(ValueError, match="2-d"):
         dm.MetricInstance.from_points([0.0, 1.0])
+    with pytest.raises(ValueError, match="D >= 1"):
+        dm.MetricInstance.from_points(np.zeros((3, 0)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -173,7 +175,7 @@ def test_ball_membership_tolerant_at_boundary(square):
 def test_validation_accepts_true_metric():
     rng = np.random.default_rng(11)
     pts = rng.uniform(size=(12, 2))
-    d = pairwise_distances(pts, pts, "l2")
+    d = dm.MetricInstance.from_points(pts).pow_matrix()
     dm.MetricInstance.from_matrix(d, validate=True)
 
 
@@ -352,6 +354,125 @@ def test_load_from_a_pipe():
     os.write(w, b"points 1 3 l2\n0\n1\n2\n")
     os.close(w)
     np.testing.assert_array_equal(dm.load_instance(r).points, [[0.0], [1.0], [2.0]])
+
+
+# A body is parsed in parts only where this process may run on two CPUs.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_parts = pytest.mark.skipif(CPUS < 2 or not hasattr(os, "fork"),
+                                 reason="a body is parsed in parts only on two or more CPUs")
+
+
+def _load_both_ways(path, part_bytes):
+    """(one-part result, result in parts of about ``part_bytes``, whether the
+    parts were parsed again as one part): each result an instance or the
+    ``InstanceParseError`` message.  The parts load forks once per part after
+    the first, at most CPUs - 1 times and at least once, and no child
+    outlives a load."""
+    out = []
+    for size in (1 << 40, part_bytes):
+        with mock.patch.object(metric, "PART_BYTES", size), \
+                mock.patch.object(metric.os, "fork", wraps=os.fork) as fork, \
+                mock.patch.object(metric, "_line_chunks", wraps=metric._line_chunks) as one:
+            try:
+                out.append(dm.load_instance(path))
+            except InstanceParseError as exc:
+                out.append(str(exc))
+        assert 1 <= fork.call_count <= CPUS - 1 if size == part_bytes else not fork.called
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return out + [one.called]
+
+
+@needs_parts
+@pytest.mark.parametrize("chunk", (2, 1 << 16))
+@pytest.mark.parametrize("newline", ("\n", "\r\n", "\r", "\x0c"))
+def test_parts_give_the_bits_of_one_part(tmp_path, chunk, newline):
+    # many cut positions of a points and a matrix body, in CPU-many parts.
+    # A "\r" or "\x0c" breaks a line that the newline count misses, so the
+    # first part ends past its count and the body is parsed again as one
+    # part; the trailing blank lines would hide the shifted later parts.
+    rng = np.random.default_rng(7)
+    pts = dm.MetricInstance.from_points(rng.standard_normal((60, 3)) * 1e3)
+    mat = dm.MetricInstance.from_matrix(pts.pow_matrix()[:12, :12])
+    path = tmp_path / "in.txt"
+    with mock.patch.object(metric, "LOAD_CHUNK_CHARS", chunk):
+        for inst in (pts, mat):
+            dm.save_instance(inst, path)
+            header, body = path.read_bytes().split(b"\n", 1)
+            count = -1 if newline == "\r\n" else 1
+            body = body.replace(b"\n", newline.encode(), count) + b"\n\n"
+            path.write_bytes(header + b"\n" + body)
+            size = os.path.getsize(path)
+            for part_bytes in sorted({max(1, size // CPUS - i) for i in range(0, 400, 7)}):
+                one, parts, again = _load_both_ways(path, part_bytes)
+                assert again == (newline in ("\r", "\x0c"))
+                backend = "points" if inst is pts else "matrix"
+                got, want = getattr(parts, backend), getattr(one, backend)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                assert got.flags.f_contiguous if inst is pts else got.flags.c_contiguous
+
+
+SPLIT_FAULTS = [
+    ("7.5 oops", 0),          # a bad token
+    ("7.5", 0),               # the wrong width
+    ("", 0),                  # a blank line inside the body
+    ("7.5 nan", 0),
+    ("-inf 7.5", 0),
+    ("7 7\r8 8", 0),          # a row too many, behind a break the newline count misses
+    (None, -1),               # one row too few
+    (None, 1),                # one row too many
+    (None, 0),                # trailing blank lines only
+]
+
+
+@needs_parts
+@pytest.mark.parametrize("line,extra", SPLIT_FAULTS)
+def test_parts_report_the_one_part_error(tmp_path, line, extra):
+    # the fault sits in the last part, the middle one or the first; a body
+    # with a part at fault is parsed again as one part, so the messages are
+    # the same
+    n = 300
+    rows = [f"{i} {i}.25" for i in range(n + max(extra, 0))]
+    path = tmp_path / "bad.txt"
+    for at in (n - 3, n // 2, 2) if line is not None else (None,):
+        body = list(rows)
+        if at is not None:
+            body[at] = line
+        tail = "\n\n" if line is None and extra == 0 else ""
+        text = f"points 2 {n - min(extra, 0)} l2\n" + "\n".join(body) + "\n" + tail
+        path.write_text(text)
+        one, parts, again = _load_both_ways(path, len(text) // CPUS)
+        if tail:
+            assert not again
+            np.testing.assert_array_equal(parts.points, one.points)
+        else:
+            assert again and isinstance(one, str) and parts == one, (parts, one)
+
+
+def test_one_cpu_or_a_small_body_starts_no_process(tmp_path):
+    path = tmp_path / "in.txt"
+    dm.save_instance(dm.MetricInstance.from_points(np.arange(400.0).reshape(200, 2)), path)
+    size = os.path.getsize(path)
+    with mock.patch.object(metric.os, "fork", side_effect=AssertionError("forked")):
+        with mock.patch.object(metric, "PART_BYTES", size):
+            assert dm.load_instance(path).n == 200
+        with mock.patch.object(metric, "PART_BYTES", 16), \
+                mock.patch.object(metric.os, "sched_getaffinity", return_value={0}, create=True):
+            assert dm.load_instance(path).n == 200
+
+
+@needs_parts
+def test_a_failed_fork_leaves_one_part(tmp_path):
+    # with no process to spare, the parts already started are reaped and the
+    # body is parsed as one part
+    path = tmp_path / "in.txt"
+    inst = dm.MetricInstance.from_points(np.arange(400.0).reshape(200, 2) / 7.0)
+    dm.save_instance(inst, path)
+    with mock.patch.object(metric, "PART_BYTES", 16), \
+            mock.patch.object(metric.os, "fork", side_effect=OSError("no process")):
+        np.testing.assert_array_equal(dm.load_instance(path).points, inst.points)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ------------------------------------------- power-distance inequalities
