@@ -89,7 +89,7 @@ def _greedy(inst: MetricInstance, order: np.ndarray,
     key, shifts = np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64)
     if inst.points is not None and n:
         reach = float(allowance.max())
-        if max(inst.points.max(), -inst.points.min()) >= 2.0 ** 500:
+        if inst.wide:
             reach = np.inf  # a distance may overflow to inf, which tol_leq admits
         xy = [x if n == inst.n else np.take(x, order) for x in inst.points.T[:2]]
         key = _bins(xy[0], reach)

@@ -19,6 +19,7 @@ import os
 import stat
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,27 +44,31 @@ def tol_leq(a, b, tol: float = REL_TOL):
     return a <= b + tol * np.maximum(np.abs(a), np.abs(b))
 
 
-def _norm_of(pairs, norm: str) -> np.ndarray:
+def _norm_of(pairs, norm: str, wide: bool) -> np.ndarray:
     """The ``norm`` of the differences ``x - y`` over ``pairs``, one pair of
-    broadcastable arrays per coordinate, summed one coordinate at a time in
-    place.  A difference too large for a float gives an infinite distance,
-    without a warning."""
+    broadcastable arrays per coordinate, summed one coordinate at a time.
+    Each difference is squared or made absolute in place; the sum is not
+    (an in-place sum left more of glibc's heap resident, about 1 MB at n =
+    20000).  Where ``wide`` says a difference may be too large for a float,
+    it gives an infinite distance without a warning."""
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}; expected one of {NORMS}")
+    if wide:
+        with np.errstate(over="ignore"):
+            return _norm_of(pairs, norm, wide=False)
     acc = None
-    with np.errstate(over="ignore"):
-        for x, y in pairs:
-            d = np.subtract(x, y)
-            if norm == "l2":
-                np.multiply(d, d, out=d)
-            else:
-                np.abs(d, out=d)
-            if acc is None:
-                acc = d
-            elif norm == "linf":
-                np.maximum(acc, d, out=acc)
-            else:
-                acc += d
+    for x, y in pairs:
+        d = np.subtract(x, y)
+        if norm == "l2":
+            np.multiply(d, d, out=d)
+        else:
+            np.abs(d, out=d)
+        if acc is None:
+            acc = d
+        elif norm == "linf":
+            acc = np.maximum(acc, d)
+        else:
+            acc = acc + d
     return np.sqrt(acc, out=acc) if norm == "l2" else acc
 
 
@@ -122,6 +127,13 @@ class MetricInstance:
     def dim(self) -> int | None:
         return None if self.points is None else self.points.shape[1]
 
+    @cached_property
+    def wide(self) -> bool:
+        """Whether some coordinate reaches 2**500 in magnitude, so that a
+        distance may overflow to inf; below that every distance over fewer
+        than 2**21 coordinates stays below 2**1023."""
+        return self.points is not None and bool(max(self.points.max(), -self.points.min()) >= 2.0 ** 500)
+
     def _check_index(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise IndexError(f"point index {u} out of range [0, {self.n})")
@@ -147,8 +159,8 @@ class MetricInstance:
         block when ``rows`` is a column; ``rows`` may be one index."""
         if self.matrix is not None:
             return self.matrix[rows].copy() if cols is None else self.matrix[rows, cols]
-        return _norm_of(((x if cols is None else np.take(x, cols), np.take(x, rows))
-                         for x in self.points.T), self.norm)
+        return _norm_of([(x if cols is None else x.take(cols), x.take(rows))
+                         for x in self.points.T], self.norm, self.wide)
 
     def pow_submatrix(self, rows, cols=None) -> np.ndarray:
         """q-th-power distances from ``rows`` to ``cols`` (default: ``rows``),

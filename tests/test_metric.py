@@ -1,6 +1,7 @@
 """Distance backends, power distances, diameter estimate, balls, and file I/O."""
 import math
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import divmax as dm
 from divmax import metric
 from divmax.errors import InstanceParseError, MetricValidationError
-from divmax.metric import REL_TOL, tol_leq
+from divmax.metric import NORMS, REL_TOL, tol_leq
 
 from conftest import exact_diameter
 
@@ -114,6 +115,25 @@ def test_rectangular_pow_submatrix_is_a_slice(backend, q):
         cols = rng.choice(12, size=int(rng.integers(1, 8)))
         np.testing.assert_array_equal(inst.pow_submatrix(rows, cols),
                                       square[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_overflowing_differences_give_inf_silently(norm):
+    # a difference or its square past the largest float is an inf distance,
+    # and the kernel raises no RuntimeWarning for it
+    huge = [[-1.7e308, 0.0], [1.7e308, 0.0], [1.7e308, 1e200]]
+    inst = dm.MetricInstance.from_points(huge, norm=norm)
+    assert inst.wide
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isinf(inst.dists_from(0)[1:]).all()
+        assert np.isinf(inst.pow_submatrix([0], [1, 2])).all()
+        assert (inst.dists(np.array([0, 2]), np.array([1, 0])) == np.inf).all()
+        assert inst.dist(1, 2) == (np.inf if norm == "l2" else 1e200)  # 1e200 squared
+    # below 2**500 no distance overflows, so the kernel needs no errstate
+    tame = dm.MetricInstance.from_points([[-(2.0 ** 499), 2.0 ** 499], [2.0 ** 499, -(2.0 ** 499)]],
+                                         norm=norm)
+    assert not tame.wide and np.isfinite(tame.pow_matrix()).all()
 
 
 def test_dists_from_targets(line4):
