@@ -151,6 +151,14 @@ def brute_force_opt(inst: MetricInstance, obj: Objective, k: int,
                     meta={"subsets": count, "rescored": rescored})
 
 
+def _pow_row(inst: MetricInstance, u: int) -> np.ndarray:
+    """q-th-power distances from ``u`` to every point, in a new array."""
+    row = inst.dists_from(u)
+    if inst.q != 1.0:
+        row **= inst.q
+    return row
+
+
 def greedy_clique(inst: MetricInstance, k: int) -> Solution:
     """Greedy remote-clique baseline.
 
@@ -163,23 +171,24 @@ def greedy_clique(inst: MetricInstance, k: int) -> Solution:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={inst.n}")
     q = inst.q
     a = int(inst.dists_from(0).argmax())
-    da = inst.dists_from(a)
-    b = int(da.argmax())
+    score = inst.dists_from(a)  # one array, updated in place
+    b = int(score.argmax())
     if a == b:  # all points coincide with point 0
         a, b = 0, 1
-        da = inst.dists_from(0)
+        score = inst.dists_from(0)
+    if q != 1.0:
+        score **= q
     chosen = [min(a, b), max(a, b)]
-    db = inst.dists_from(b)
-    score = (da if q == 1.0 else da ** q) + (db if q == 1.0 else db ** q)
-    taken = np.zeros(inst.n, dtype=bool)
-    taken[[a, b]] = True
+    score += _pow_row(inst, b)
     while len(chosen) < k:
-        u = int(np.where(taken, -np.inf, score).argmax())
+        # the chosen entries are set aside, not left at -inf: -inf + inf is nan
+        held = score[chosen]
+        score[chosen] = -np.inf
+        u = int(score.argmax())
+        score[chosen] = held
         chosen.append(u)
-        taken[u] = True
         if len(chosen) < k:  # the last pick's row would go unread
-            du = inst.dists_from(u)
-            score += du if q == 1.0 else du ** q
+            score += _pow_row(inst, u)
     subset = tuple(sorted(chosen))
     return Solution(subset, evaluate(inst, Objective("clique", q), subset), "greedy")
 

@@ -62,6 +62,7 @@ def _find_center_row(inst: MetricInstance, decomp: CellDecomposition, radius: fl
         row = inst.dists_from(c)
         if int((~tol_leq(row, radius)).sum()) < k / 2.0:
             return c, row
+        del row  # so that the next row is not computed beside this one
     raise RuntimeError(
         "no cell center excludes fewer than k/2 points; the scale estimate is off")
 
@@ -74,13 +75,16 @@ def _local_search(inst: MetricInstance, subset) -> tuple[tuple[int, ...], int]:
     ``REL_TOL`` of the current value.  Returns the subset and the swap count.
     """
     chosen = np.array(subset, dtype=np.int64)
-    cols = np.column_stack([inst.dists_from(int(c)) for c in chosen])  # d(v, chosen[j])
+    cols = np.empty((inst.n, chosen.size))  # d(v, chosen[j])
+    for j, c in enumerate(chosen.tolist()):
+        cols[:, j] = inst.dists_from(c)
     sums = cols.sum(axis=1)  # total distance from v to the set
     value = float(sums[chosen].sum()) / 2.0
+    gain = np.empty_like(cols)
     swaps = 0
     while True:
         # gain of putting v in place of chosen[j]
-        gain = sums[:, None] - cols
+        np.subtract(sums[:, None], cols, out=gain)
         gain -= sums[chosen]
         gain[chosen] = -np.inf
         v, j = np.unravel_index(int(gain.argmax()), gain.shape)
@@ -128,8 +132,8 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
 
     near = tol_leq(row, KEEP_BALL_COEFF * delta_prime)
     # a cell is searched when any of its members lies in the keep ball
-    inside = np.bincount(decomp.label, weights=near[decomp.points]) > 0
     sizes = np.bincount(decomp.label)
+    inside = np.bincount(decomp.label[near[decomp.points]], minlength=sizes.size) > 0
     centers = np.asarray(decomp.centers, dtype=np.int64)
     out_mult = sizes[~inside]
     fixed = int(out_mult.sum())

@@ -30,6 +30,12 @@ REL_TOL = 1e-9
 
 NORMS = ("l1", "l2", "linf")
 
+# Entries computed at a time by every linear pass over the points: a long
+# distance row, a cell decomposition's bin keys, unassigned-point scan and
+# absorb windows, and a lift's label scan.  Each pass then holds a few
+# arrays of this length beside its output, whatever n is.
+BLOCK = 1 << 14
+
 # Characters of an instance file read and parsed at a time.
 LOAD_CHUNK_CHARS = 1 << 16
 # Body bytes per part: a larger body is parsed in ceil(body / PART_BYTES)
@@ -40,7 +46,13 @@ PART_BYTES = 1 << 19
 
 def tol_leq(a, b, tol: float = REL_TOL):
     """Tolerant ``a <= b`` with slack relative to the larger magnitude;
-    elementwise on arrays."""
+    elementwise on arrays.  A row ``a`` longer than ``BLOCK`` against one
+    bound ``b`` is compared ``BLOCK`` entries at a time."""
+    if np.ndim(a) == 1 and np.ndim(b) == 0 and len(a) > BLOCK:
+        out = np.empty(len(a), dtype=bool)
+        for lo in range(0, len(a), BLOCK):
+            out[lo:lo + BLOCK] = tol_leq(a[lo:lo + BLOCK], b, tol)
+        return out
     return a <= b + tol * np.maximum(np.abs(a), np.abs(b))
 
 
@@ -156,11 +168,21 @@ class MetricInstance:
     def dists(self, rows, cols=None) -> np.ndarray:
         """Plain distances from ``rows`` to ``cols`` (default: every point),
         index arrays broadcast against each other: paired elementwise, or a
-        block when ``rows`` is a column; ``rows`` may be one index."""
+        block when ``rows`` is a column; ``rows`` may be one index.  One
+        index against more than ``BLOCK`` columns fills its row ``BLOCK``
+        entries at a time."""
         if self.matrix is not None:
             return self.matrix[rows].copy() if cols is None else self.matrix[rows, cols]
-        return _norm_of([(x if cols is None else x.take(cols), x.take(rows))
-                         for x in self.points.T], self.norm, self.wide)
+        size = self.n if cols is None else np.size(cols)
+        if np.ndim(rows) or size <= BLOCK or np.ndim(cols) > 1:
+            return _norm_of([(x if cols is None else x.take(cols), x.take(rows))
+                             for x in self.points.T], self.norm, self.wide)
+        out = np.empty(size)
+        for lo in range(0, size, BLOCK):
+            part = slice(lo, lo + BLOCK)
+            out[part] = _norm_of([(x[part] if cols is None else x.take(cols[part]), x[rows])
+                                  for x in self.points.T], self.norm, self.wide)
+        return out
 
     def pow_submatrix(self, rows, cols=None) -> np.ndarray:
         """q-th-power distances from ``rows`` to ``cols`` (default: ``rows``),
@@ -295,6 +317,8 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
             except ValueError:
                 raise InstanceParseError(
                     f"line 1: non-integer dimensions in {header!r}") from None
+            if d < 1:
+                raise InstanceParseError(f"line 1: need dimension D >= 1, got D={d}")
             norm = head[3]
             if norm not in NORMS:
                 raise InstanceParseError(

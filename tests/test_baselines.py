@@ -299,6 +299,55 @@ def test_greedy_reads_one_row_per_pick(monkeypatch, seed, q):
         assert got == tuple(sorted(chosen))
 
 
+def masked_copy_greedy(inst, k):
+    """The greedy loop that scored a copy of the totals with the chosen
+    points at -inf at every step."""
+    q = inst.q
+    a = int(inst.dists_from(0).argmax())
+    da = inst.dists_from(a)
+    b = int(da.argmax())
+    if a == b:
+        a, b = 0, 1
+        da = inst.dists_from(0)
+    chosen = [min(a, b), max(a, b)]
+    db = inst.dists_from(b)
+    score = (da if q == 1.0 else da ** q) + (db if q == 1.0 else db ** q)
+    taken = np.zeros(inst.n, dtype=bool)
+    taken[[a, b]] = True
+    while len(chosen) < k:
+        u = int(np.where(taken, -np.inf, score).argmax())
+        chosen.append(u)
+        taken[u] = True
+        if len(chosen) < k:
+            du = inst.dists_from(u)
+            score += du if q == 1.0 else du ** q
+    return tuple(sorted(chosen))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("layout", ["grid", "coincident", "wide"])
+def test_greedy_matches_the_masked_copy_loop(layout, q):
+    # integer grids and repeated points tie at every step; on the wide layout
+    # totals are inf, where a chosen entry left at -inf would turn nan with a
+    # RuntimeWarning
+    rng = np.random.default_rng(11)
+    for seed in range(4):
+        if layout == "grid":
+            pts = rng.integers(0, 3, size=(40, 2)).astype(float)
+        elif layout == "coincident":
+            pts = rng.random((5, 2))[rng.integers(0, 5, 40)]
+        else:
+            pts = rng.choice([-1.7e308, 1.7e308], size=(40, 2))
+        inst = dm.MetricInstance.from_points(pts, norm=("l1", "l2", "linf")[seed % 3], q=q)
+        if layout == "wide":
+            assert np.isinf(inst.dists_from(0)).any()
+        for k in (2, 3, 6, 12, 40):
+            got = greedy_clique(inst, k)
+            assert got.subset == masked_copy_greedy(inst, k), (seed, k)
+            assert len(set(got.subset)) == k
+
+
 def test_greedy_validation(square):
     with pytest.raises(ValueError, match="2 <= k <= n"):
         greedy_clique(square, 1)

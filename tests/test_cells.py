@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
-from divmax import cells, cli
+from divmax import cells, cli, metric
 from divmax.cells import decompose_fixed, decompose_variable, lift
 from divmax.metric import tol_leq
 
@@ -156,16 +156,19 @@ LAYOUTS = (["uniform", "clustered", "coincident", "scaled-1e-200", "scaled-1e200
            + [f"grid-{norm}-{dim}" for norm in ("l1", "l2", "linf") for dim in range(1, 6)])
 
 
-# Batch and chunk sizes under test: batches of 1 and 5 cut through cells, and
-# chunks of 1 and 7 cut through the windows of a batch's centers.
-BATCH_CHUNK = [(batch, chunk) for batch in (1, 5, cells.BATCH) for chunk in (1, 7, cells.CHUNK)]
+# Batch and block sizes under test: batches of 1 and 5 cut through cells, and
+# blocks of 1 and 7 cut through the bin keys, the unassigned-point scans, the
+# absorb windows of a batch's centers and each center's own runs.  A scan of
+# one position makes batches of one, so block 1 runs with batch 1 only.
+BATCH_BLOCK = [(batch, block) for batch in (1, 5, cells.BATCH) for block in (1, 7, metric.BLOCK)
+               if batch == 1 or block > 1]
 
 
 def decompositions(monkeypatch, decompose, *args):
-    """``decompose(*args)`` at every size in ``BATCH_CHUNK``."""
-    for batch, chunk in BATCH_CHUNK:
+    """``decompose(*args)`` at every size in ``BATCH_BLOCK``."""
+    for batch, block in BATCH_BLOCK:
         monkeypatch.setattr(cells, "BATCH", batch)
-        monkeypatch.setattr(cells, "CHUNK", chunk)
+        monkeypatch.setattr(metric, "BLOCK", block)
         yield decompose(*args)
 
 
@@ -198,7 +201,7 @@ def test_decompositions_match_per_point_loop(layout, seed, monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.sampled_from(["l1", "l2", "linf"]),
        st.sampled_from(["points", "coincident", "graph12"]), st.booleans(),
-       st.sampled_from(BATCH_CHUNK))
+       st.sampled_from(BATCH_BLOCK))
 def test_batched_greedy_matches_reference(seed, dim, norm, layout, variable, sizes):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 90))
@@ -215,7 +218,7 @@ def test_batched_greedy_matches_reference(seed, dim, norm, layout, variable, siz
     subset = sorted(int(i) for i in rng.choice(n, size=int(rng.integers(1, n + 1)),
                                                replace=False))
     delta = radii[int(rng.integers(len(radii)))]
-    cells.BATCH, cells.CHUNK = sizes
+    cells.BATCH, metric.BLOCK = sizes
     try:
         if variable:
             z = subset[int(rng.integers(len(subset)))]
@@ -226,7 +229,7 @@ def test_batched_greedy_matches_reference(seed, dim, norm, layout, variable, siz
             dec = decompose_fixed(inst, subset, delta)
             allow = [delta] * len(subset)
     finally:
-        cells.BATCH, cells.CHUNK = BATCH_CHUNK[-1]
+        cells.BATCH, metric.BLOCK = BATCH_BLOCK[-1]
     assert_same_decomposition(dec, subset, reference_greedy(inst, subset, allow))
 
 
@@ -263,8 +266,10 @@ def test_sweep_scans_a_small_share_of_the_unassigned_points(monkeypatch):
 
 
 def test_decomposition_peak_memory_stays_below_the_sweeps():
-    # 7402448 bytes is the tracemalloc peak of the single-coordinate sweep
-    # that the batched loop replaced, on this instance and radius (numpy 2.4)
+    # the blocked passes peak at 4189214 bytes on this instance and radius
+    # (numpy 2.4): four arrays of n integers (points, labels, the sweep order
+    # and its keys) and block-sized scratch.  Whole-array temporaries took
+    # 6939394, and the single-coordinate sweep before them 7402448
     inst = cli._scaling_instance(80_000, 1237)
     decompose_fixed(inst, None, 0.06)  # first-call allocations are not the loop's
     tracemalloc.start()
@@ -273,7 +278,7 @@ def test_decomposition_peak_memory_stays_below_the_sweeps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(dec.centers) == 4 and peak <= 7_402_448
+    assert len(dec.centers) == 4 and peak <= 4_300_000
 
 
 def test_nan_allowance_makes_its_own_center():

@@ -301,6 +301,18 @@ def test_solve_non_finite_input_exits_2(capsys, tmp_path, algo):
         assert f"error: line {line}: " in err and "must be finite" in err
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_solve_dimension_below_one_exits_2(capsys, tmp_path, dim):
+    # D = -1 used to fail in numpy ("negative dimensions are not allowed")
+    # and D = 0 on line 2 ("expected 0 values, found 2")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"points {dim} 3 l2\n0 0\n1 1\n2 2\n")
+    code, out, err = run(capsys, ["solve", "--in", str(bad), "--objective", "clique",
+                                  "--k", "2", "--algo", "fast-clique", "--eps", "0.3"])
+    assert code == 2 and "RESULT" not in out
+    assert err.strip() == f"error: line 1: need dimension D >= 1, got D={dim}"
+
+
 def test_solve_value_mismatch_exits_3(capsys, square_file, monkeypatch):
     def fake_solve(inst, obj, k, eps, **kw):
         return dm.Solution((0, 1), 999.0, "ptas")

@@ -136,6 +136,38 @@ def test_overflowing_differences_give_inf_silently(norm):
     assert not tame.wide and np.isfinite(tame.pow_matrix()).all()
 
 
+def blocked_rows(inst, block, monkeypatch):
+    """Each point's ``dists_from`` row, all points and a shuffled target list,
+    and its ``tol_leq`` mask, computed with ``metric.BLOCK`` set to ``block``."""
+    monkeypatch.setattr(metric, "BLOCK", block)
+    targets = np.random.default_rng(inst.n).permutation(inst.n)
+    rows = []
+    for u in (0, inst.n // 2, inst.n - 1):
+        row = inst.dists_from(u)
+        rows += [row, inst.dists_from(u, targets), tol_leq(row, np.sort(row)[inst.n // 2])]
+    return [r.tobytes() for r in rows]
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("wide", [False, True])
+def test_blocked_rows_keep_the_bits(monkeypatch, norm, wide):
+    # a row of one point against more than BLOCK others is filled BLOCK
+    # entries at a time through the same kernel, so its bits are those of one
+    # call; on a wide instance the overflowing entries stay inf and silent
+    rng = np.random.default_rng(7)
+    for block, sizes in ((5, (4, 5, 6, 11)), (metric.BLOCK, (metric.BLOCK - 1, metric.BLOCK,
+                                                           metric.BLOCK + 1))):
+        for n in sizes:
+            pts = rng.uniform(-1.0, 1.0, (n, 3)) * (1.7e308 if wide else 1.0)
+            inst = dm.MetricInstance.from_points(pts, norm=norm)
+            assert inst.wide == wide
+            whole = blocked_rows(inst, n + 1, monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert blocked_rows(inst, block, monkeypatch) == whole
+            assert not wide or np.isinf(inst.dists_from(0)).any()
+
+
 def test_dists_from_targets(line4):
     np.testing.assert_allclose(line4.dists_from(0, [3, 1]), [3.0, 1.0])
 
@@ -278,6 +310,14 @@ PARSE_ERRORS = [
     ("points 2 1000000000000 l2\n0 0\n", 2),  # n too large to allocate
     ("matrix 3000000\n0 1\n", 2),
 ]
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_dimension_below_one_is_a_header_error(tmp_path, dim):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"points {dim} 3 l2\n0 0\n1 1\n2 2\n")
+    with pytest.raises(InstanceParseError, match=rf"^line 1: need dimension D >= 1, got D={dim}$"):
+        dm.load_instance(path)
 
 
 @pytest.mark.parametrize("text,lineno", PARSE_ERRORS)
