@@ -65,61 +65,78 @@ def _screen_weights(kind: str, k: int, width: int):
             yield 1.0 * (w[:, ia] != w[:, ib]), 1.0 * (w[:, :-1] != w[:, -1:])
 
 
-def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0):
-    """First best row of k positions of ``dq`` that holds its last ``fixed``.
-
-    The other m = len(dq) - fixed positions form the pool.  A row lists the
-    fixed positions, then k - fixed pool positions ascending; rows run in
-    lexicographic order of their pool part, and the first maximum wins.
-    Returns ``(row, value, rescored)``.
-
-    A row is a (k-1)-prefix plus a larger pool position j.  Arrays are laid
-    out slots x rows and reduced over axis 0: a block of prefixes gathers its
-    pair terms once, each chunk of rows its terms d^q(prefix, j), and
-    ``_screen_weights`` weighs both; no rows x slots or rows x weight rows
-    array exceeds ``_BLOCK`` entries.  Rows within ``SCREEN_TOL`` of the
-    running best are rescored by ``batch_evaluate``, which gives the row and
-    value bits of rescoring every row: on an exactly symmetric, nonnegative
-    d^q with zero diagonal, both values sum (or take the minimum of sums of)
-    the same at most k^2 nonnegative terms, so each is within k^2 ulps of the
-    true value and every exact maximum passes.  Other matrices are rescored
-    in full.
+def _screen(kind: str, dq: np.ndarray, k: int, per: int):
+    """``(size, score)``: ``score(p, r, j, best)`` scores rows ``p[:, r[i]]`` then
+    ``j[i]`` of k positions of ``dq`` (prefixes as columns, ``r`` nondecreasing,
+    at most ``per`` rows a prefix) against a running ``best``, ``size`` prefixes
+    at a time, and returns the ``batch_evaluate`` values of the rows it keeps,
+    -inf for the others, and the number kept.  Arrays are laid out slots x rows
+    and reduced over axis 0: each chunk of prefixes gathers its pair terms once
+    per chunk of weight rows, each chunk of rows its terms d^q(prefix, j), and
+    ``_screen_weights`` weighs both; no rows x slots or rows x weight rows array
+    exceeds ``_BLOCK`` entries.  Rows within ``SCREEN_TOL`` of the better of
+    ``best`` and the block's best screen are rescored by ``batch_evaluate``,
+    which gives the row and value bits of rescoring every row: on an exactly
+    symmetric, nonnegative d^q with zero diagonal, both values sum (or take the
+    minimum of sums of) the same at most k^2 nonnegative terms, so each is
+    within k^2 ulps of the true value and every exact maximum passes.  Other
+    matrices are rescored in full.
     """
-    m, free = len(dq) - fixed, k - fixed
-    fix = np.arange(m, m + fixed, dtype=np.int32)
-    if free == 0:
-        return fix, batch_evaluate(kind, dq, fix[None, :])[0], 1
     screen = np.array_equal(dq, dq.T) and not np.diagonal(dq).any() and dq.min() >= 0
     floor = 1.0 - SCREEN_TOL - 4 * k * k * np.finfo(np.float64).eps
     flat, (ia, ib) = dq.ravel(), np.triu_indices(k - 1, 1)
     width = max(1, _BLOCK // max(1, ia.size))
     splits = math.comb(k - 1, k // 2) if kind == "bipartition" else 1
     weights = list(_screen_weights(kind, k, width)) if splits <= width else None
-    size, step = (max(1, _BLOCK // max(x, min(splits, width))) for x in (m, k))
+    size, step = (max(1, _BLOCK // max(x, min(splits, width))) for x in (per, k))
+
+    def score(p: np.ndarray, r: np.ndarray, j: np.ndarray, best: float):
+        vals = np.full(r.size, np.inf)
+        for w_pair, w_new in weights or _screen_weights(kind, k, width):
+            for a in range(0, p.shape[1], size):
+                base = p[:, a:a + size] * np.int64(len(dq))  # flat offsets of each slot's row
+                pre = w_pair @ np.take(flat, base[ia] + p[ib, a:a + size])
+                lo, hi = np.searchsorted(r, (a, a + size))
+                for c in range(lo, hi, step):
+                    rows = slice(c, min(c + step, hi))
+                    at = r[rows] - a
+                    off = np.take(base, at, axis=1)
+                    off += j[rows]
+                    near = np.take(pre, at, axis=1)
+                    near += w_new @ np.take(flat, off)
+                    np.minimum(vals[rows], near.min(axis=0), out=vals[rows])
+        keep = np.flatnonzero((vals >= max(best, vals.max()) * floor) | (not screen))
+        out = np.full(r.size, -np.inf)
+        if keep.size:  # the module global, so a wrapper installed on it sees every rescore
+            out[keep] = batch_evaluate(kind, dq, np.vstack((p[:, r[keep]], j[keep])).T)
+        return out, keep.size
+
+    return size, score
+
+
+def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0):
+    """First best row of k positions of ``dq`` that holds its last ``fixed``.
+
+    The other m = len(dq) - fixed positions form the pool.  A row lists the
+    fixed positions, then k - fixed pool positions ascending; rows run in
+    lexicographic order of their pool part, and the first maximum wins.
+    Returns ``(row, value, rescored)``.  A row is a (k-1)-prefix plus a larger
+    pool position j, and each block of prefixes is screened by ``_screen``.
+    """
+    m, free = len(dq) - fixed, k - fixed
+    fix = np.arange(m, m + fixed, dtype=np.int32)
+    if free == 0:
+        return fix, batch_evaluate(kind, dq, fix[None, :])[0], 1
+    size, score = _screen(kind, dq, k, m)
     best, best_row, rescored = -np.inf, None, 0
     for p in _prefix_blocks(m, free - 1, size):
         r, j = _extend(p, m - 1)
         p = np.vstack((np.broadcast_to(fix[:, None], (fixed, p.shape[1])), p))
-        base = p * np.int64(len(dq))  # flat offsets of each prefix slot's row
-        pairs = np.take(flat, base[ia] + p[ib])
-        vals = np.full(r.size, np.inf)
-        for w_pair, w_new in weights or _screen_weights(kind, k, width):
-            pre = w_pair @ pairs
-            for c in range(0, r.size, step):
-                off = np.take(base, r[c:c + step], axis=1)
-                off += j[c:c + step]
-                near = np.take(pre, r[c:c + step], axis=1)
-                near += w_new @ np.take(flat, off)
-                np.minimum(vals[c:c + step], near.min(axis=0), out=vals[c:c + step])
-        keep = np.flatnonzero((vals >= max(best, vals.max()) * floor) | (not screen))
-        if keep.size:
-            rows = np.vstack((p[:, r[keep]], j[keep])).T
-            # the module global, so a wrapper installed on it sees every rescore
-            exact = batch_evaluate(kind, dq, rows)
-            rescored += keep.size
-            i = int(exact.argmax())
-            if best_row is None or exact[i] > best:
-                best, best_row = exact[i], rows[i].copy()
+        exact, kept = score(p, r, j, best)
+        rescored += kept
+        i = int(exact.argmax())
+        if best_row is None or exact[i] > best:
+            best, best_row = exact[i], np.append(p[:, r[i]], j[i])
     return best_row, best, rescored
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .compositions import enumerate_compositions, first_best
+from .compositions import BLOCK_ENTRIES, enumerate_compositions, first_best
 from .errors import EnumerationCapError
 from .metric import MetricInstance, check_indices
 
@@ -144,12 +144,10 @@ def centroid_clique_identity(inst: MetricInstance, subset) -> tuple[float, float
 
 # Vectorized evaluators over batches of rows; see the module docstring.
 
-# Largest number of gathered or split entries held at once by batch_evaluate.
-_BATCH_ENTRIES = 1 << 19
-
 
 def batch_evaluate(kind: str, dq: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Objective value of each index row of positions into ``dq``."""
+    """Objective value of each index row of positions into ``dq``; rows are
+    scored in chunks of at most ``BLOCK_ENTRIES`` gathered or split entries."""
     k = rows.shape[1]
     width = k * k
     if kind == "bipartition":
@@ -157,7 +155,7 @@ def batch_evaluate(kind: str, dq: np.ndarray, rows: np.ndarray) -> np.ndarray:
         width += masks.shape[0]
     elif kind not in OBJECTIVE_KINDS:
         raise ValueError(f"unknown objective {kind!r}")
-    step = max(1, _BATCH_ENTRIES // max(1, width))
+    step = max(1, BLOCK_ENTRIES // max(1, width))
     out = np.empty(rows.shape[0])
     for i in range(0, rows.shape[0], step):
         r = rows[i:i + step]

@@ -106,16 +106,10 @@ def gen_ksum_reduction(ks: KSumInstance) -> MetricInstance:
     The squared ratio m'^2 is formed as an exact rational before the root.
     The instance uses the l2 metric with q = 2.
     """
-    rows = []
     scale = ks.t * math.sqrt(ks.k)
-    for m in ks.values:
-        mp2 = Fraction(m * m, ks.t * ks.t * ks.k)
-        x = math.sqrt(1.0 - float(mp2))
-        rows.append((-x, m / scale, 0.0))
-    for m in ks.values:
-        mp2 = Fraction(m * m, ks.t * ks.t * ks.k)
-        x = math.sqrt(1.0 - float(mp2))
-        rows.append((x, 0.0, m / scale))
+    mp2 = [Fraction(m * m, ks.t * ks.t * ks.k) for m in ks.values]
+    pairs = [(math.sqrt(1.0 - float(f)), m / scale) for f, m in zip(mp2, ks.values)]
+    rows = [(-x, mp, 0.0) for x, mp in pairs] + [(x, 0.0, mp) for x, mp in pairs]
     return MetricInstance.from_points(np.array(rows), q=2.0)
 
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .baselines import _BLOCK, SCREEN_TOL, _best_subset, _screen_weights
+from .baselines import _best_subset, _screen
 from .cells import CellDecomposition, decompose_fixed, lift
 from .compositions import count_compositions, enumerate_compositions, first_best
 from .diversity import (EXACT_BIPARTITION_CAP, Objective, Solution, _expand_rows,
@@ -65,27 +65,17 @@ def build_guess_grid(inst: MetricInstance, k: int) -> list[float]:
 def _rounded_values(inst: MetricInstance, obj: Objective, ext: list[int], dq: np.ndarray,
                     counts: np.ndarray, eps: float) -> np.ndarray:
     """Rounded values of count rows over ``ext`` = centers + outliers (d^q block ``dq``);
-    exact bipartition rows screened below the block's best as ``_best_subset`` screens
-    score -inf, which keeps ``first_best``'s row and value bits."""
+    exact bipartition rows, one prefix each, go through the oracle's ``_screen``, whose
+    -inf for rows below the block's best keeps ``first_best``'s row and value bits."""
     full = np.hstack([counts, np.ones((len(counts), len(ext) - counts.shape[1]), np.int64)])
     k = int(full[0].sum())
-    if obj.kind == "bipartition" and k > EXACT_BIPARTITION_CAP:
-        return np.array([evaluate(inst, obj, np.repeat(ext, row), eps=eps) for row in full])
-    if obj.kind != "bipartition" or not (
-            np.array_equal(dq, dq.T) and not np.diagonal(dq).any() and dq.min() >= 0):
+    if obj.kind != "bipartition":
         return values(obj.kind, dq, full)
-    rows, (ia, ib) = _expand_rows(full).T, np.triu_indices(k - 1, 1)
-    width = max(1, _BLOCK // max(1, ia.size))
-    step = max(1, _BLOCK // max(k, min(math.comb(k - 1, k // 2), width)))
-    screen, out = np.full(len(full), np.inf), np.full(len(full), -np.inf)
-    for w_pair, w_new in _screen_weights("bipartition", k, width):
-        for c in range(0, len(full), step):
-            r = rows[:, c:c + step]
-            near = w_pair @ dq[r[ia], r[ib]] + w_new @ dq[r[:-1], r[-1]]
-            np.minimum(screen[c:c + step], near.min(axis=0), out=screen[c:c + step])
-    keep = screen >= screen.max() * (1.0 - SCREEN_TOL - 4 * k * k * np.finfo(np.float64).eps)
-    out[keep] = values(obj.kind, dq, full[keep])
-    return out
+    if k > EXACT_BIPARTITION_CAP:
+        return np.array([evaluate(inst, obj, np.repeat(ext, row), eps=eps) for row in full])
+    rows = _expand_rows(full).T
+    _, score = _screen("bipartition", dq, k, 1)
+    return score(rows[:-1], np.arange(len(full)), rows[-1], -np.inf)[0]
 
 
 def _plan(inst: MetricInstance, obj: Objective, k: int, eps: float, scales: list[float]):

@@ -2,6 +2,7 @@
 import math
 import pathlib
 import runpy
+import tracemalloc
 from itertools import product
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import divmax as dm
-from divmax import baselines, compositions, ptas
+from divmax import baselines, compositions, diversity, ptas
 from divmax.compositions import count_compositions, first_best, raise_to_total
 from divmax.errors import BudgetExceededError
 from divmax.metric import diameter_estimate, tol_leq
@@ -567,7 +568,7 @@ def test_screened_bipartition_rows_pick_the_unscreened_row(case):
     with mock.patch.object(compositions, "BLOCK_ROWS", 7):
         want = first_best(enumerate_compositions(choices, total),
                           lambda c: values("bipartition", dq, full(c)))
-        with mock.patch.object(ptas, "_BLOCK", block):
+        with mock.patch.object(baselines, "_BLOCK", block):
             got = first_best(enumerate_compositions(choices, total), screened)
     assert (got[0].tolist(), got[1].hex()) == (want[0].tolist(), want[1].hex())
     if not np.array_equal(dq, dq.T):
@@ -585,6 +586,54 @@ def test_screen_keeps_rows_a_few_ulps_below_the_block_best():
     got = first_best(enumerate_compositions(choices, 10),
                      lambda c: ptas._rounded_values(inst, obj, [0, 1, 2], dq, c, 0.5))
     assert (got[0].tolist(), got[1].hex()) == (want[0].tolist(), want[1].hex())
+
+
+def _ring_of_8() -> dm.MetricInstance:
+    adj = np.zeros((8, 8), bool)
+    adj[np.arange(8), np.arange(1, 9) % 8] = True
+    return dm.gen_graph_12metric(adj | adj.T)
+
+
+def test_rounded_values_rescore_frozen_row_counts():
+    # rows of a fixed block that the screen keeps and rescores, counted on
+    # both names they may be rescored through; a keep rule applied per
+    # chunk of rows rather than against the whole block's best screen
+    # rescores more.  The ring's many equal distances tie many rows
+    obj, rescored = dm.Objective("bipartition"), []
+
+    def spy(batch_evaluate):
+        def rescore(kind, dq, rows):
+            rescored.append(len(rows))
+            return batch_evaluate(kind, dq, rows)
+        return rescore
+
+    got = {}
+    for name, inst in (("uniform", dm.gen_uniform(8, 2, seed=3)), ("ring", _ring_of_8())):
+        for k in (6, 8, 16):
+            counts = next(enumerate_compositions([range(k, -1, -1)] * 8, k))[:2048]
+            with mock.patch.object(diversity, "batch_evaluate", spy(diversity.batch_evaluate)), \
+                    mock.patch.object(baselines, "batch_evaluate", spy(baselines.batch_evaluate)):
+                ptas._rounded_values(inst, obj, list(range(8)), inst.pow_matrix(), counts, 0.5)
+            got[name, k] = sum(rescored)
+            rescored.clear()
+    assert got == {("uniform", 6): 1, ("uniform", 8): 1, ("uniform", 16): 1,
+                   ("ring", 6): 56, ("ring", 8): 40, ("ring", 16): 2}
+
+
+def test_rounded_values_peak_memory_stays_bounded():
+    # k = 16 screens 6435 balanced splits 624 weight rows at a time, over
+    # chunks of 105 rows: weight rows held for all 2048 rows at once would
+    # alone take 10.2 MB
+    inst = dm.gen_uniform(8, 2, seed=3)
+    dq = inst.pow_matrix()
+    counts = next(enumerate_compositions([range(16, -1, -1)] * 8, 16))[:2048]
+    tracemalloc.start()
+    try:
+        ptas._rounded_values(inst, dm.Objective("bipartition"), list(range(8)), dq, counts, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0e6
 
 
 # subset and value as returned before repeats and dominated guesses were
