@@ -27,12 +27,11 @@ def _extend(pre: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prefix_blocks(m: int, t: int, size: int):
-    """The t-subsets of ``range(m - 1)`` in lexicographic order, as columns in
-    blocks of at most ``size``.  Only the (t-1)-subsets, C(m-2, t-1) of them,
-    are held whole; each block of ``size`` of them gets its last row here."""
-    if t == 0:
-        yield np.empty((0, 1), np.int32)
-        return
+    """The t-subsets of ``range(m - 1)``, t >= 1, in lexicographic order, as
+    ``(short, r, col)``: subset i is column ``r[i]`` of ``short``, then
+    ``col[i]``.  Only the (t-1)-subsets, C(m-2, t-1) of them, are held whole;
+    each block of at most ``size`` of them comes as ``short`` with the subsets
+    that extend it."""
     pre = np.empty((0, 1), np.int32)
     for c in range(t - 1):
         r, col = _extend(pre, m - t - 1 + c)
@@ -42,60 +41,120 @@ def _prefix_blocks(m: int, t: int, size: int):
         pre = nxt
     for b in range(0, pre.shape[1], size):
         short = pre[:, b:b + size]
-        r, col = _extend(short, m - 2)
-        full = np.empty((t, r.size), np.int32)
-        np.take(short, r, axis=1, out=full[:-1], mode="clip")
-        full[-1] = col
-        for c in range(0, r.size, size):
-            yield full[:, c:c + size]
+        yield (short, *_extend(short, m - 2))
 
 
-def _screen_weights(kind: str, k: int, width: int):
-    """Chunks of at most ``width`` weight rows ``(w_pair, w_new)``; a row screens as the
-    minimum over them of w_pair @ its prefix's pair terms + w_new @ its prefix-j terms."""
+def _screen_weights(k: int, width: int):
+    """Chunks of at most ``width`` balanced-split weight rows ``(w_pair, w_new)``: a term
+    counts when its two slots lie on opposite sides.  A row's split screen is the minimum
+    over them of w_pair @ its prefix's pair terms + w_new @ its prefix-j terms."""
     ia, ib = np.triu_indices(k - 1, 1)
-    if kind == "clique":
-        yield np.ones((1, ia.size)), np.ones((1, k - 1))
-    elif kind == "star":  # centered at each prefix slot, then at j
-        slot = np.arange(k)[:, None]
-        yield 1.0 * ((slot == ia) | (slot == ib)), np.eye(k, k - 1) + (slot == k - 1)
-    else:  # a term counts when its two slots lie on opposite sides
-        left = balanced_split_masks(k).astype(bool)  # gathers 8x faster than float
-        for w in (left[c:c + width] for c in range(0, len(left), width)):
-            yield 1.0 * (w[:, ia] != w[:, ib]), 1.0 * (w[:, :-1] != w[:, -1:])
+    left = balanced_split_masks(k).astype(bool)  # gathers 8x faster than float
+    for w in (left[c:c + width] for c in range(0, len(left), width)):
+        yield 1.0 * (w[:, ia] != w[:, ib]), 1.0 * (w[:, :-1] != w[:, -1:])
 
 
-def _screen(kind: str, dq: np.ndarray, k: int, per: int):
-    """``(size, score)``: ``score(p, r, j, best)`` scores rows ``p[:, r[i]]`` then
-    ``j[i]`` of k positions of ``dq`` (prefixes as columns, ``r`` nondecreasing,
-    at most ``per`` rows a prefix) against a running ``best``, ``size`` prefixes
-    at a time, and returns the ``batch_evaluate`` values of the rows it keeps,
-    -inf for the others, and the number kept.  Arrays are laid out slots x rows
-    and reduced over axis 0: each chunk of prefixes gathers its pair terms once
-    per chunk of weight rows, each chunk of rows its terms d^q(prefix, j), and
-    ``_screen_weights`` weighs both; no rows x slots or rows x weight rows array
-    exceeds ``_BLOCK`` entries.  Rows within ``SCREEN_TOL`` of the better of
-    ``best`` and the block's best screen are rescored by ``batch_evaluate``,
-    which gives the row and value bits of rescoring every row: on an exactly
-    symmetric, nonnegative d^q with zero diagonal, both values sum (or take the
-    minimum of sums of) the same at most k^2 nonnegative terms, so each is
-    within k^2 ulps of the true value and every exact maximum passes.  Other
-    matrices are rescored in full.
+class _Screen:
+    """Screens blocks of rows of k positions of ``dq``, set up once per search.
+
+    A row is a prefix, held as a column of ``p``, plus a last position ``j``;
+    ``r`` maps rows to prefixes and is nondecreasing.  Arrays are laid out
+    slots x rows and reduced over axis 0.  ``sums`` gives each prefix its pair
+    sum and, for star, each slot's sum to the other slots; ``extend`` gives
+    those of the rows from their prefix's by adding the terms d^q(prefix, j),
+    as plain sums.  A row's clique screen is its pair sum, and its star screen
+    its least slot sum.  A bipartition row takes its split screen, a GEMM over
+    ``_screen_weights``, only when its pair sum times k/(2(k-1)) reaches the
+    larger of ``best`` and the split screen of the block's top row by that
+    measure: that multiple is the mean of the cross sums over all balanced
+    splits, since each pair lies across that share of them, and bounds their
+    minimum.  No rows x slots or rows x weight rows array exceeds ``_BLOCK``
+    entries.
+
+    Rows within ``SCREEN_TOL`` of the larger of ``best`` and the block's best
+    screen are rescored by ``batch_evaluate``, which gives the row and value
+    bits of rescoring every row: on an exactly symmetric, nonnegative d^q with
+    zero diagonal (``on``), screens and bounds sum (or take the minimum of
+    sums of) at most k^2 nonnegative terms, so each is within k^2 ulps of its
+    true value, and ``floor`` lets every exact maximum pass.  Other matrices
+    are rescored in full.
+
+    Where rows extend a prefix by later ones of the first ``pool`` positions,
+    as in ``_best_subset``, ``bound`` bounds all rows of a prefix before they
+    are built.  ``tail[a, c]`` is the largest d^q from position a to a pool
+    position at or after c, one array of at most ``dq``'s shape, so the tail
+    terms t_s = tail[p_s, c] bound the terms from slot s to any later
+    position; ``pair[c]`` is the largest d^q between two of them.  For one
+    more position j, the clique value is at most S + sum t_s, S being the
+    prefix's pair sum, and the bipartition value at most k/(2(k-1)) times
+    that.  A star is at most its sum at any point: at j that is at most
+    sum t_s, at slot s its slot sum plus t_s, and at the mean point 2/k times
+    the clique value; its bound is the least of these.  For ``need`` more
+    positions, each adds at most sum t_s and each pair of them at most
+    ``pair[c]``; a slot's sum grows by at most ``need`` t_s.
     """
-    screen = np.array_equal(dq, dq.T) and not np.diagonal(dq).any() and dq.min() >= 0
-    floor = 1.0 - SCREEN_TOL - 4 * k * k * np.finfo(np.float64).eps
-    flat, (ia, ib) = dq.ravel(), np.triu_indices(k - 1, 1)
-    width = max(1, _BLOCK // max(1, ia.size))
-    splits = math.comb(k - 1, k // 2) if kind == "bipartition" else 1
-    weights = list(_screen_weights(kind, k, width)) if splits <= width else None
-    size, step = (max(1, _BLOCK // max(x, min(splits, width))) for x in (per, k))
 
-    def score(p: np.ndarray, r: np.ndarray, j: np.ndarray, best: float):
-        vals = np.full(r.size, np.inf)
-        for w_pair, w_new in weights or _screen_weights(kind, k, width):
+    def __init__(self, kind: str, dq: np.ndarray, k: int, pool: int = 0):
+        self.kind, self.dq, self.k, self.n, self.flat = kind, dq, k, np.int64(len(dq)), dq.ravel()
+        self.on = np.array_equal(dq, dq.T) and not np.diagonal(dq).any() and dq.min() >= 0
+        self.floor = 1.0 - SCREEN_TOL - 4 * k * k * np.finfo(np.float64).eps
+        self.ia, self.ib = np.triu_indices(k - 1, 1)
+        self.width = max(1, _BLOCK // max(1, self.ia.size))
+        splits = math.comb(k - 1, k // 2) if kind == "bipartition" else 1
+        self.weights = (list(_screen_weights(k, self.width))
+                        if kind == "bipartition" and splits <= self.width else None)
+        self.size, self.split_step = (max(1, _BLOCK // max(x, min(splits, self.width)))
+                                      for x in (max(pool, 1), k))
+        self.step = max(1, _BLOCK // (k + 1))  # star rows hold k + 1 sums
+        self.scale = {"clique": 1.0, "star": 2.0 / k, "bipartition": k / (2.0 * (k - 1))}[kind]
+        if self.on and pool:
+            tail = np.empty((len(dq), pool))
+            np.maximum.accumulate(dq[:, pool - 1::-1], axis=1, out=tail[:, ::-1])
+            self.pool, self.tail = np.int64(pool), tail.ravel()
+            self.pair = np.append(np.maximum.accumulate(np.diagonal(tail, 1)[::-1])[::-1], 0.0)
+
+    def extend(self, q: np.ndarray, pre: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``sums`` of the rows ``q`` then ``j``, from ``pre`` = ``sums(q)``."""
+        t = np.take(self.flat, q * self.n + j)
+        new = t.sum(axis=0)
+        if self.kind != "star":
+            new += pre[0]
+            return new[None]
+        out = np.empty((len(pre) + 1, new.size))
+        np.add(pre[0], new, out=out[0])
+        np.add(pre[1:], t, out=out[1:-1])
+        out[-1] = new
+        return out
+
+    def sums(self, p: np.ndarray) -> np.ndarray:
+        """Row 0: each prefix's pair sum; for star, rows 1.. : each slot's sum."""
+        pre = np.zeros((1, p.shape[1]))
+        for s in range(len(p)):
+            pre = self.extend(p[:s], pre, p[s])
+        return pre
+
+    def bound(self, p: np.ndarray, col: np.ndarray, pre: np.ndarray, need: int = 1) -> np.ndarray:
+        """Upper bound on the rows that add ``need`` pool positions >= ``col`` to each prefix."""
+        t = np.take(self.tail, p * self.pool + col)
+        new = t.sum(axis=0)
+        pair = self.pair[col] * (need - 1) if need > 1 else 0.0
+        out = (pre[0] + need * (new + pair / 2)) * self.scale
+        if self.kind == "star":
+            np.minimum(out, new + pair, out=out)
+            t *= need
+            t += pre[1:]
+            np.minimum(out, t.min(axis=0, initial=np.inf), out=out)
+        return out
+
+    def _split(self, p: np.ndarray, r: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Split screen of rows ``p[:, r]`` then ``j``, over the prefixes they use only."""
+        new = np.diff(r, prepend=-1) != 0  # r is nondecreasing: number its distinct prefixes
+        p, r, vals = p[:, r[new]], np.cumsum(new) - 1, np.full(r.size, np.inf)
+        ia, ib, size, step = self.ia, self.ib, self.size, self.split_step
+        for w_pair, w_new in self.weights or _screen_weights(self.k, self.width):
             for a in range(0, p.shape[1], size):
-                base = p[:, a:a + size] * np.int64(len(dq))  # flat offsets of each slot's row
-                pre = w_pair @ np.take(flat, base[ia] + p[ib, a:a + size])
+                base = p[:, a:a + size] * self.n  # flat offsets of each slot's row
+                pre = w_pair @ np.take(self.flat, base[ia] + p[ib, a:a + size])
                 lo, hi = np.searchsorted(r, (a, a + size))
                 for c in range(lo, hi, step):
                     rows = slice(c, min(c + step, hi))
@@ -103,51 +162,131 @@ def _screen(kind: str, dq: np.ndarray, k: int, per: int):
                     off = np.take(base, at, axis=1)
                     off += j[rows]
                     near = np.take(pre, at, axis=1)
-                    near += w_new @ np.take(flat, off)
+                    near += w_new @ np.take(self.flat, off)
                     np.minimum(vals[rows], near.min(axis=0), out=vals[rows])
-        keep = np.flatnonzero((vals >= max(best, vals.max()) * floor) | (not screen))
+        return vals
+
+    def score(self, p: np.ndarray, r: np.ndarray, j: np.ndarray, best: float,
+              pre: np.ndarray | None = None):
+        """``batch_evaluate`` values of the rows kept, -inf for the others, and
+        the number kept.  ``pre`` is ``sums(p)``; if it is not given, each row's
+        prefix is summed with the row, as for rows of one prefix each."""
         out = np.full(r.size, -np.inf)
+        if not self.on:
+            keep = np.arange(r.size)
+        else:
+            vals = np.empty(r.size)
+            for c in range(0, r.size, self.step):
+                rows = slice(c, c + self.step)
+                q = p[:, r[rows]]
+                e = self.extend(q, self.sums(q) if pre is None else pre[:, r[rows]], j[rows])
+                vals[rows] = e[1:].min(axis=0) if self.kind == "star" else e[0]
+            if self.kind == "bipartition":
+                vals *= self.scale
+                top = int(vals.argmax())
+                ref = max(best, self._split(p, r[top:top + 1], j[top:top + 1])[0])
+                live = np.flatnonzero(vals >= ref * self.floor)
+                vals.fill(-np.inf)
+                vals[live] = self._split(p, r[live], j[live])
+            keep = np.flatnonzero(vals >= max(best, vals.max()) * self.floor)
         if keep.size:  # the module global, so a wrapper installed on it sees every rescore
-            out[keep] = batch_evaluate(kind, dq, np.vstack((p[:, r[keep]], j[keep])).T)
+            out[keep] = batch_evaluate(self.kind, self.dq, np.vstack((p[:, r[keep]], j[keep])).T)
         return out, keep.size
 
-    return size, score
+
+def _greedy_row(dq: np.ndarray, k: int, fixed: int) -> np.ndarray:
+    """A row of ``_best_subset``: the fixed positions, then pool positions taken one
+    at a time by the largest d^q sum to those taken (the lowest on ties), ascending."""
+    m = len(dq) - fixed
+    gain, rest = dq[:m, m:].sum(axis=1), np.ones(m, bool)
+    for _ in range(k - fixed):
+        u = int(np.flatnonzero(rest)[gain[rest].argmax()])
+        rest[u] = False
+        gain += dq[:m, u]
+    return np.concatenate((np.arange(m, len(dq)), np.flatnonzero(~rest)))
 
 
-def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0):
+def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0,
+                 incumbent: float = -np.inf):
     """First best row of k positions of ``dq`` that holds its last ``fixed``.
 
     The other m = len(dq) - fixed positions form the pool.  A row lists the
     fixed positions, then k - fixed pool positions ascending; rows run in
     lexicographic order of their pool part, and the first maximum wins.
-    Returns ``(row, value, rescored)``.  A row is a (k-1)-prefix plus a larger
-    pool position j, and each block of prefixes is screened by ``_screen``.
+    Returns ``(row, value, rescored, bounded)``.  A row is a (k-1)-prefix plus
+    a larger pool position j, each (k-1)-prefix a (k-2)-prefix plus a larger
+    one, and each block of prefixes is screened by ``_Screen``.  Where the
+    screen is on, the search first scores one row exactly, ``_greedy_row``,
+    and keeps the larger of its value and the caller's ``incumbent`` (which
+    must be a value some row reaches).  A (k-2)- or (k-1)-prefix whose
+    ``_Screen.bound`` falls below the larger of that and the running best,
+    times ``floor``^2, is dropped before its rows are built, and the other
+    rows are screened against the same value in the blocks they would have
+    without any bound.  ``bounded`` counts the rows dropped unscreened; with
+    the rows screened they make every row.  Neither can drop a row within the
+    floor of the best, so the row and value bits are those of rescoring every
+    row, and ``rescored`` only falls as the incumbent rises.
     """
     m, free = len(dq) - fixed, k - fixed
     fix = np.arange(m, m + fixed, dtype=np.int32)
     if free == 0:
-        return fix, batch_evaluate(kind, dq, fix[None, :])[0], 1
-    size, score = _screen(kind, dq, k, m)
-    best, best_row, rescored = -np.inf, None, 0
-    for p in _prefix_blocks(m, free - 1, size):
-        r, j = _extend(p, m - 1)
-        p = np.vstack((np.broadcast_to(fix[:, None], (fixed, p.shape[1])), p))
-        exact, kept = score(p, r, j, best)
+        return fix, batch_evaluate(kind, dq, fix[None, :])[0], 1, 0
+    screen = _Screen(kind, dq, k, m)
+    if screen.on:
+        incumbent = max(incumbent, batch_evaluate(kind, dq, _greedy_row(dq, k, fixed)[None])[0])
+
+    def live(p, col, pre, need=1):  # prefixes whose bound reaches the incumbent
+        return screen.bound(p, col, pre, need) >= max(best, incumbent) * screen.floor ** 2
+
+    def blocks():  # prefixes, the last pool position of each (-1 if none), their sums
+        nonlocal bounded
+        if free == 1:
+            yield fix[:, None], np.full(1, -1), screen.sums(fix[:, None])
+            return
+        for short, r, col in _prefix_blocks(m, free - 1, screen.size):
+            q = np.vstack((np.broadcast_to(fix[:, None], (fixed, short.shape[1])), short))
+            pre = screen.sums(q)
+            if screen.on:  # a short plus two later pool positions
+                after = short[-1] + 1 if len(short) else np.zeros(short.shape[1], np.int32)
+                ok = live(q, after, pre, 2)
+            for c in range(0, r.size, screen.size):  # the chunks do not depend on the bound
+                at, last = r[c:c + screen.size], col[c:c + screen.size]
+                if screen.on and not ok[at].all():
+                    bounded += int((m - 1 - last[~ok[at]]).sum())
+                    at, last = at[ok[at]], last[ok[at]]
+                    if not at.size:
+                        continue
+                p = np.vstack((q[:, at], last))
+                yield p, last, screen.extend(p[:-1], pre[:, at], last)
+
+    best, best_row, rescored, bounded, screened = -np.inf, None, 0, 0, 0
+    for p, last, pre in blocks():
+        if screen.on and not (ok := live(p, last + 1, pre)).all():
+            bounded += int((m - 1 - last[~ok]).sum())
+            p, last, pre = p[:, ok], last[ok], pre[:, ok]
+        r, j = _extend(last[None], m - 1)
+        screened += r.size
+        if r.size == 0:
+            continue
+        exact, kept = screen.score(p, r, j, max(best, incumbent), pre)
         rescored += kept
         i = int(exact.argmax())
         if best_row is None or exact[i] > best:
             best, best_row = exact[i], np.append(p[:, r[i]], j[i])
-    return best_row, best, rescored
+    assert screened + bounded == math.comb(m, free), (screened, bounded)
+    return best_row, best, rescored, bounded
 
 
 def brute_force_opt(inst: MetricInstance, obj: Objective, k: int,
                     *, enum_cap: int = DEFAULT_ENUM_CAP) -> Solution:
     """Exact optimum over all k-subsets; ties keep the lexicographically smallest.
 
-    Searched by ``_best_subset`` on the whole d^q matrix, which screens
-    subsets in bounded blocks and rescores the near-best exactly.  ``meta``
-    counts ``subsets`` and ``rescored``.  Refuses more than ``enum_cap``
-    subsets.
+    Searched by ``_best_subset`` on the whole d^q matrix: one greedy subset
+    scored exactly is the incumbent, prefixes whose bound falls below the
+    incumbent or the running best are dropped with their subsets, and the
+    rest are screened in bounded blocks and the near-best rescored exactly.
+    ``meta`` counts ``subsets``, ``bounded`` (dropped unscreened) and
+    ``rescored``.  Refuses more than ``enum_cap`` subsets.
     """
     if obj.q != inst.q:
         raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
@@ -163,9 +302,9 @@ def brute_force_opt(inst: MetricInstance, obj: Objective, k: int,
     if count > enum_cap:
         raise EnumerationCapError(
             f"{count} subsets exceed the enumeration cap {enum_cap}")
-    row, value, rescored = _best_subset(obj.kind, inst.pow_matrix(), k)
+    row, value, rescored, bounded = _best_subset(obj.kind, inst.pow_matrix(), k)
     return Solution(tuple(row.tolist()), float(value), "brute",
-                    meta={"subsets": count, "rescored": rescored})
+                    meta={"subsets": count, "bounded": bounded, "rescored": rescored})
 
 
 def _pow_row(inst: MetricInstance, u: int) -> np.ndarray:

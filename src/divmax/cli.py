@@ -208,7 +208,8 @@ def cmd_solve(args) -> int:
     backend = "matrix" if inst.points is None else f"points, D={inst.dim}, {inst.norm}"
     print(f"# load: {inst.n} points ({backend}) in {load_ms:.1f} ms")
     if opt is not None:
-        print(f"# brute force: {opt.meta['subsets']} subsets, {opt.meta['rescored']} rescored")
+        print(f"# brute force: {opt.meta['subsets']} subsets, {opt.meta['bounded']} bounded, "
+              f"{opt.meta['rescored']} rescored")
     if args.algo == "fast-clique":
         print(_search_line(sol.meta, args.eps))
     elif args.algo == "ptas":

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .baselines import _best_subset, _screen
+from .baselines import _best_subset, _Screen
 from .cells import CellDecomposition, decompose_fixed, lift
 from .compositions import count_compositions, enumerate_compositions, first_best
 from .diversity import (EXACT_BIPARTITION_CAP, Objective, Solution, _expand_rows,
@@ -65,7 +65,7 @@ def build_guess_grid(inst: MetricInstance, k: int) -> list[float]:
 def _rounded_values(inst: MetricInstance, obj: Objective, ext: list[int], dq: np.ndarray,
                     counts: np.ndarray, eps: float) -> np.ndarray:
     """Rounded values of count rows over ``ext`` = centers + outliers (d^q block ``dq``);
-    exact bipartition rows, one prefix each, go through the oracle's ``_screen``, whose
+    exact bipartition rows, one prefix each, go through the oracle's ``_Screen``, whose
     -inf for rows below the block's best keeps ``first_best``'s row and value bits."""
     full = np.hstack([counts, np.ones((len(counts), len(ext) - counts.shape[1]), np.int64)])
     k = int(full[0].sum())
@@ -74,8 +74,8 @@ def _rounded_values(inst: MetricInstance, obj: Objective, ext: list[int], dq: np
     if k > EXACT_BIPARTITION_CAP:
         return np.array([evaluate(inst, obj, np.repeat(ext, row), eps=eps) for row in full])
     rows = _expand_rows(full).T
-    _, score = _screen("bipartition", dq, k, 1)
-    return score(rows[:-1], np.arange(len(full)), rows[-1], -np.inf)[0]
+    return _Screen("bipartition", dq, k).score(rows[:-1], np.arange(len(full)), rows[-1],
+                                               -np.inf)[0]
 
 
 def _plan(inst: MetricInstance, obj: Objective, k: int, eps: float, scales: list[float]):
@@ -111,16 +111,17 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     the first.  A guess with an earlier one's outliers and cell labels poses the
     same problem and is dropped.  A guess whose cells are all singletons rounds
     nothing, so it scores every k-subset holding its outliers exactly with the
-    oracle's screened search (``meta["exact"]`` counts these, ``meta["rescored"]``
-    the subsets they rescore).  Any other guess whose outliers contain those lifts
-    only to such subsets, so it is dominated and dropped without changing the best
-    value; only a bit-exact tie between distinct subsets could change the one
-    returned.  Bipartitions above ``EXACT_BIPARTITION_CAP`` score rows by a
-    ``1 + eps`` estimate, so there only repeats are dropped.  The kept guesses'
-    rows are counted exactly before any is enumerated (``meta["planned"]``); past
-    C(n, k) they give way to one exact search of every k-subset, which dominates
-    them all, as center 0 at the top scale, whose ball holds every point.  The
-    solve raises at the first guess whose running total exceeds ``budget``.
+    oracle's bounded search (``meta["exact"]`` counts these, ``meta["bounded"]``
+    and ``meta["rescored"]`` the subsets they drop by a bound and rescore).  Any
+    other guess whose outliers contain those lifts only to such subsets, so it is
+    dominated and dropped without changing the best value; only a bit-exact tie
+    between distinct subsets could change the one returned.  Bipartitions above
+    ``EXACT_BIPARTITION_CAP`` score rows by a ``1 + eps`` estimate, so there only
+    repeats are dropped.  The kept guesses' rows are counted exactly before any
+    is enumerated (``meta["planned"]``); past C(n, k) they give way to one exact
+    search of every k-subset, which dominates them all, as center 0 at the top
+    scale, whose ball holds every point.  The solve raises at the first guess
+    whose running total exceeds ``budget``.
     """
     if obj.q != inst.q:
         raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
@@ -137,7 +138,7 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     if not scales:
         return Solution(tuple(range(k)), 0.0, "ptas", guess=(0, 0.0),
                         meta=dict.fromkeys(("guesses repeats dominated scored exact "
-                                            "rescored candidates max_cells").split(), 0))
+                                            "bounded rescored candidates max_cells").split(), 0))
     plan, guesses = _plan(inst, obj, k, eps, scales)
     # a repeat has its problem's labels, so its cell count too
     repeats, max_cells = guesses - len(plan), max(len(g[2].centers) for g in plan)
@@ -161,15 +162,16 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
                 f"budget {budget} (scale {s!r}, center {z0})")
 
     best: Solution | None = None
-    exact = rescored = 0
+    exact = rescored = bounded = 0
     for s, z0, decomp, outliers, choices, total in plan:
         ext = list(decomp.centers) + outliers.tolist()
         dq = inst.pow_submatrix(ext)
         if exact_ok and len(decomp.centers) == decomp.points.size:
             # rounding is the identity: search the k-subsets holding the outliers
             exact += 1
-            row, _, row_rescores = _best_subset(obj.kind, dq, k, fixed=outliers.size)
-            rescored += row_rescores
+            row, _, row_rescored, row_bounded = _best_subset(obj.kind, dq, k, fixed=outliers.size)
+            rescored += row_rescored
+            bounded += row_bounded
             pre = tuple(sorted(ext[i] for i in row.tolist()))
         else:
             # Called through the module global, so a wrapper installed on
@@ -184,6 +186,6 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
             best = Solution(pre, val, "ptas", guess=(z0, float(s) ** inst.q))
     assert best is not None
     best.meta.update(guesses=guesses, repeats=repeats, dominated=guesses - repeats - len(plan),
-                     scored=len(plan), exact=exact, rescored=rescored, candidates=sum(sizes),
-                     planned=planned, max_cells=max_cells)
+                     scored=len(plan), exact=exact, bounded=bounded, rescored=rescored,
+                     candidates=sum(sizes), planned=planned, max_cells=max_cells)
     return best

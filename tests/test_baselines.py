@@ -169,8 +169,8 @@ def test_brute_bipartition_split_weights_stay_bounded():
 def test_brute_bipartition_screen_stays_near_the_clique_peak():
     # C(26, 8) over 35 splits: each block's split sums are taken a row chunk
     # at a time, not as one (rows x splits) table, which peaked at 10.8 MB
-    # against clique's 6.8 MB.  Subset, value bits and rescored count are
-    # the ones the unchunked screen gave
+    # against clique's 6.8 MB.  Subset and value bits are the ones the
+    # unchunked screen gave; it rescored 4 subsets, and the bound leaves 2
     inst = dm.gen_uniform(26, 2, seed=1)
     inst.pow_matrix()
     peaks, sols = {}, {}
@@ -185,7 +185,7 @@ def test_brute_bipartition_screen_stays_near_the_clique_peak():
     sol = sols["bipartition"]
     assert sol.subset == (1, 3, 4, 11, 12, 14, 18, 19)
     assert sol.value.hex() == "0x1.3872a48e3da21p+3"
-    assert sol.meta == {"subsets": 1562275, "rescored": 4}
+    assert sol.meta == {"subsets": 1562275, "bounded": 1277672, "rescored": 2}
 
 
 @st.composite
@@ -204,27 +204,50 @@ def subset_searches(draw):
     dq = dq.pow_matrix()
     if draw(st.booleans()):  # asymmetric: nothing screened, every row rescored
         dq = dq + np.triu(rng.uniform(size=(n, n)), 1)
-    return kind, dq, k, fixed, draw(st.sampled_from((1, 5, 64, 1 << 16)))
+    incumbent = draw(st.sampled_from(("none", "optimum", "row")))
+    return kind, dq, k, fixed, draw(st.sampled_from((1, 5, 64, 1 << 16))), incumbent, \
+        draw(st.integers(0, 2 ** 16))
 
 
 @settings(max_examples=300)
 @given(subset_searches())
 def test_best_subset_matches_combinations(case):
     # rows list the fixed positions, then a combination of the pool; the
-    # first maximum of batch_evaluate over all of them, in that order, wins.
-    # Small blocks split the prefix lists and the bipartition split weights
-    kind, dq, k, fixed, block = case
+    # first maximum of batch_evaluate over all of them, in that order, wins,
+    # whatever value some row reaches is passed as the incumbent.  Small
+    # blocks split the prefix lists and the bipartition split weights.  Every
+    # row is bounded or screened, and a higher incumbent never rescores more
+    kind, dq, k, fixed, block, incumbent, pick = case
     m = len(dq) - fixed
     rows = np.array([tuple(range(m, len(dq))) + c for c in combinations(range(m), k - fixed)],
                     dtype=np.int64).reshape(-1, k)
     want = batch_evaluate(kind, dq, rows)
     i = int(want.argmax())
-    with mock.patch.object(baselines, "_BLOCK", block):
-        row, value, rescored = _best_subset(kind, dq, k, fixed)
+    given_value = {"none": -np.inf, "optimum": want[i], "row": want[pick % len(rows)]}[incumbent]
+    screened, score = [], baselines._Screen.score
+
+    def spy(self, p, r, j, best, pre=None):
+        screened.append(r.size)
+        return score(self, p, r, j, best, pre)
+
+    with mock.patch.object(baselines, "_BLOCK", block), \
+            mock.patch.object(baselines._Screen, "score", spy):
+        row, value, rescored, bounded = _best_subset(kind, dq, k, fixed, given_value)
+        counted = sum(screened)
+        unaided = _best_subset(kind, dq, k, fixed)
     assert (row.tolist(), value.hex()) == (rows[i].tolist(), want[i].hex())
-    assert 1 <= rescored <= len(rows)
+    assert (unaided[0].tolist(), unaided[1].hex()) == (row.tolist(), value.hex())
+    assert 1 <= rescored <= unaided[2] <= len(rows)
+    assert bounded + counted == (len(rows) if fixed < k else 0)
     if not np.array_equal(dq, dq.T):
-        assert rescored == len(rows)
+        assert rescored == len(rows) and bounded == 0
+
+
+def test_bound_drops_subsets_of_a_uniform_clique_search():
+    # C(22, 6) = 74613 subsets: a search whose bound never fires screens them
+    # all.  The greedy incumbent lets the bound drop 74515 of them
+    sol = brute_force_opt(dm.gen_uniform(22, 2, seed=8), dm.Objective("clique"), 6)
+    assert sol.meta["subsets"] == 74613 and sol.meta["bounded"] > 74613 // 2
 
 
 @pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))

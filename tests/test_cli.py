@@ -80,7 +80,7 @@ def test_solve_brute_oracle_runs_brute_force_once(capsys, square_file, monkeypat
     assert result_line(out) == (f"RESULT algo=brute objective=clique q=1 k=3 n=4 "
                                 f"instance={square_file} value=3.41421356 "
                                 "oracle=3.41421356 ratio=1 subset=0,1,2")
-    assert "# brute force: 4 subsets, 4 rescored" in out.splitlines()
+    assert "# brute force: 4 subsets, 0 bounded, 4 rescored" in out.splitlines()
 
 
 def test_solve_ptas_guesses_line(capsys, tmp_path):
@@ -152,14 +152,15 @@ def test_solve_brute_force_line(capsys, tmp_path):
     assert cli.main(["gen", "uniform", "--n", "12", "--seed", "1", "--out", path]) == 0
     capsys.readouterr()
     opt = dm.brute_force_opt(dm.load_instance(path), dm.Objective("clique"), 4)
-    want = f"# brute force: 495 subsets, {opt.meta['rescored']} rescored"
+    want = (f"# brute force: 495 subsets, {opt.meta['bounded']} bounded, "
+            f"{opt.meta['rescored']} rescored")
     solve = ["solve", "--in", path, "--objective", "clique", "--k", "4"]
     for algo in (["brute"], ["ptas", "--eps", "0.3", "--oracle"], ["greedy"]):
         code, out, _ = run(capsys, solve + ["--algo"] + algo)
         assert code == 0
         assert (want in out.splitlines()) == (algo != ["greedy"])
         # the counts stay off the byte-stable RESULT line
-        assert "subsets" not in result_line(out) and "rescored" not in result_line(out)
+        assert not any(w in result_line(out) for w in ("subsets", "bounded", "rescored"))
 
 
 def test_solve_fast_clique_path(capsys, square_file):

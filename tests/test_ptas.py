@@ -404,7 +404,7 @@ def _count_row_search(kind, dq, k, fixed=0):
         i = int(vals.argmax())
         if best_row is None or vals[i] > best:
             best, best_row = vals[i], np.flatnonzero(full[i])
-    return best_row, best, 0
+    return best_row, best, 0, 0
 
 
 @pytest.mark.parametrize("far", range(4))
@@ -430,9 +430,9 @@ def test_solve_singleton_guesses_match_count_rows(kind, far):
     with mock.patch.object(ptas, "_best_subset", _count_row_search):
         ref = solve(inst, obj, k, 0.25)
     assert held == [far] and sol.meta["exact"] == 1
-    # the count-row stand-in rescores nothing; every other count agrees
-    assert sol.meta["rescored"] >= 1 and ref.meta["rescored"] == 0
-    assert (sol.subset, sol.value.hex(), {**sol.meta, "rescored": 0}) == \
+    # the count-row stand-in rescores and bounds nothing; every other count agrees
+    assert sol.meta["rescored"] >= 1 and ref.meta["rescored"] == ref.meta["bounded"] == 0
+    assert (sol.subset, sol.value.hex(), {**sol.meta, "rescored": 0, "bounded": 0}) == \
         (ref.subset, ref.value.hex(), ref.meta)
 
 
@@ -620,6 +620,25 @@ def test_rounded_values_rescore_frozen_row_counts():
                    ("ring", 6): 56, ("ring", 8): 40, ("ring", 16): 2}
 
 
+@pytest.mark.parametrize("k", (4, 6, 8))
+def test_rounded_values_rows_that_repeat_their_last_position(k):
+    # a count row whose last nonzero count is at least 2 ends on a position
+    # its prefix already holds, so no bound that assumes a later position may
+    # touch it: every kept row carries batch_evaluate's bits over every row,
+    # and the first best row is the one scoring every row picks
+    obj = dm.Objective("bipartition")
+    for inst in (dm.gen_uniform(8, 2, seed=3), _ring_of_8()):
+        dq = inst.pow_matrix()
+        counts = next(enumerate_compositions([range(k, -1, -1)] * 8, k))[:2048]
+        last = counts[np.arange(len(counts)), 7 - (counts[:, ::-1] > 0).argmax(axis=1)]
+        counts = counts[last >= 2]
+        got = ptas._rounded_values(inst, obj, list(range(8)), dq, counts, 0.5)
+        want = diversity.batch_evaluate("bipartition", dq, diversity._expand_rows(counts))
+        i, kept = int(want.argmax()), np.isfinite(got)
+        assert (int(got.argmax()), got[i].hex()) == (i, want[i].hex())
+        assert len(counts) > 100 and np.array_equal(got[kept], want[kept])
+
+
 def test_rounded_values_peak_memory_stays_bounded():
     # k = 16 screens 6435 balanced splits 624 weight rows at a time, over
     # chunks of 105 rows: weight rows held for all 2048 rows at once would
@@ -703,4 +722,5 @@ def test_solve_all_coincident():
     sol = solve(inst, dm.Objective("clique"), 3, 0.5)
     assert sol.subset == (0, 1, 2) and sol.value == 0.0
     assert sol.meta == {"guesses": 0, "repeats": 0, "dominated": 0, "scored": 0,
-                        "exact": 0, "rescored": 0, "candidates": 0, "max_cells": 0}
+                        "exact": 0, "bounded": 0, "rescored": 0, "candidates": 0,
+                        "max_cells": 0}
