@@ -64,12 +64,12 @@ class _Screen:
     those of the rows from their prefix's by adding the terms d^q(prefix, j),
     as plain sums.  A row's clique screen is its pair sum, and its star screen
     its least slot sum.  A bipartition row takes its split screen, a GEMM over
-    ``_screen_weights``, only when its pair sum times k/(2(k-1)) reaches the
-    larger of ``best`` and the split screen of the block's top row by that
-    measure: that multiple is the mean of the cross sums over all balanced
-    splits, since each pair lies across that share of them, and bounds their
-    minimum.  No rows x slots or rows x weight rows array exceeds ``_BLOCK``
-    entries.
+    ``_screen_weights``, only when its pair sum times k/(2(k-1)) reaches
+    ``best`` or, while that is -inf, the split screen of the block's top row
+    by that measure: that multiple is the mean of the cross sums over all
+    balanced splits, since each pair lies across that share of them, and
+    bounds their minimum.  No rows x slots or rows x weight rows array
+    exceeds ``_BLOCK`` entries.
 
     Rows within ``SCREEN_TOL`` of the larger of ``best`` and the block's best
     screen are rescored by ``batch_evaluate``, which gives the row and value
@@ -82,14 +82,17 @@ class _Screen:
     Where rows extend a prefix by later ones of the first ``pool`` positions,
     as in ``_best_subset``, ``bound`` bounds all rows of a prefix before they
     are built.  ``tail[a, c]`` is the largest d^q from position a to a pool
-    position at or after c, one array of at most ``dq``'s shape, so the tail
-    terms t_s = tail[p_s, c] bound the terms from slot s to any later
-    position; ``pair[c]`` is the largest d^q between two of them.  For one
-    more position j, the clique value is at most S + sum t_s, S being the
-    prefix's pair sum, and the bipartition value at most k/(2(k-1)) times
-    that.  A star is at most its sum at any point: at j that is at most
-    sum t_s, at slot s its slot sum plus t_s, and at the mean point 2/k times
-    the clique value; its bound is the least of these.  For ``need`` more
+    position at or after c, so the tail terms t_s = tail[p_s, c] bound the
+    terms from slot s to any later position; ``pair[c]`` is the largest d^q
+    between two of them.  ``tail`` is one array of ``dq``'s shape plus a row
+    when rows hold three or more pool positions.  With at most two, a pool
+    position is read only at the next column, so ``tail`` keeps the fixed
+    positions' rows and that one row, built ``_BLOCK`` entries at a time.
+    For one more position j, the clique value is at most S + sum t_s, S
+    being the prefix's pair sum, and the bipartition value at most
+    k/(2(k-1)) times that.  A star is at most its sum at any point: at j that
+    is at most sum t_s, at slot s its slot sum plus t_s, and at the mean
+    point 2/k times the clique value; its bound is the least of these.  For ``need`` more
     positions, each adds at most sum t_s and each pair of them at most
     ``pair[c]``; a slot's sum grows by at most ``need`` t_s.
     """
@@ -108,10 +111,21 @@ class _Screen:
         self.step = max(1, _BLOCK // (k + 1))  # star rows hold k + 1 sums
         self.scale = {"clique": 1.0, "star": 2.0 / k, "bipartition": k / (2.0 * (k - 1))}[kind]
         if self.on and pool:
-            tail = np.empty((len(dq), pool))
-            np.maximum.accumulate(dq[:, pool - 1::-1], axis=1, out=tail[:, ::-1])
+            # With at most two pool positions to a row, a pool position a is only
+            # read as a prefix's last slot, at column a + 1: all map to one last
+            # row nxt, and only the fixed positions keep rows of their own.
+            lo = 0 if k - (len(dq) - pool) > 2 else pool
+            tail = np.empty((len(dq) - lo + 1, pool))
+            np.maximum.accumulate(dq[lo:, pool - 1::-1], axis=1, out=tail[:-1, ::-1])
+            nxt, h = tail[-1], max(1, _BLOCK // pool)
+            nxt[0] = np.inf  # no pool position precedes column 0
+            for a in range(0, pool - 1, h):  # nxt[a + 1] = max of dq[a, a + 1:pool]
+                b = min(a + h, pool - 1)
+                nxt[a + 1:b + 1] = np.triu(dq[a:b, :pool], a + 1).max(axis=1)
+            self.row = np.full(len(dq), len(dq) - lo, np.int64)
+            self.row[lo:] = np.arange(len(dq) - lo)
             self.pool, self.tail = np.int64(pool), tail.ravel()
-            self.pair = np.append(np.maximum.accumulate(np.diagonal(tail, 1)[::-1])[::-1], 0.0)
+            self.pair = np.append(np.maximum.accumulate(nxt[:0:-1])[::-1], 0.0)
 
     def extend(self, q: np.ndarray, pre: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``sums`` of the rows ``q`` then ``j``, from ``pre`` = ``sums(q)``."""
@@ -135,7 +149,7 @@ class _Screen:
 
     def bound(self, p: np.ndarray, col: np.ndarray, pre: np.ndarray, need: int = 1) -> np.ndarray:
         """Upper bound on the rows that add ``need`` pool positions >= ``col`` to each prefix."""
-        t = np.take(self.tail, p * self.pool + col)
+        t = np.take(self.tail, np.take(self.row, p) * self.pool + col)
         new = t.sum(axis=0)
         pair = self.pair[col] * (need - 1) if need > 1 else 0.0
         out = (pre[0] + need * (new + pair / 2)) * self.scale
@@ -184,7 +198,7 @@ class _Screen:
             if self.kind == "bipartition":
                 vals *= self.scale
                 top = int(vals.argmax())
-                ref = max(best, self._split(p, r[top:top + 1], j[top:top + 1])[0])
+                ref = best if best > -np.inf else self._split(p, r[top:top + 1], j[top:top + 1])[0]
                 live = np.flatnonzero(vals >= ref * self.floor)
                 vals.fill(-np.inf)
                 vals[live] = self._split(p, r[live], j[live])
@@ -206,8 +220,7 @@ def _greedy_row(dq: np.ndarray, k: int, fixed: int) -> np.ndarray:
     return np.concatenate((np.arange(m, len(dq)), np.flatnonzero(~rest)))
 
 
-def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0,
-                 incumbent: float = -np.inf):
+def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0):
     """First best row of k positions of ``dq`` that holds its last ``fixed``.
 
     The other m = len(dq) - fixed positions form the pool.  A row lists the
@@ -217,8 +230,7 @@ def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0,
     a larger pool position j, each (k-1)-prefix a (k-2)-prefix plus a larger
     one, and each block of prefixes is screened by ``_Screen``.  Where the
     screen is on, the search first scores one row exactly, ``_greedy_row``,
-    and keeps the larger of its value and the caller's ``incumbent`` (which
-    must be a value some row reaches).  A (k-2)- or (k-1)-prefix whose
+    and keeps its value as the incumbent.  A (k-2)- or (k-1)-prefix whose
     ``_Screen.bound`` falls below the larger of that and the running best,
     times ``floor``^2, is dropped before its rows are built, and the other
     rows are screened against the same value in the blocks they would have
@@ -232,8 +244,8 @@ def _best_subset(kind: str, dq: np.ndarray, k: int, fixed: int = 0,
     if free == 0:
         return fix, batch_evaluate(kind, dq, fix[None, :])[0], 1, 0
     screen = _Screen(kind, dq, k, m)
-    if screen.on:
-        incumbent = max(incumbent, batch_evaluate(kind, dq, _greedy_row(dq, k, fixed)[None])[0])
+    incumbent = (batch_evaluate(kind, dq, _greedy_row(dq, k, fixed)[None])[0]
+                 if screen.on else -np.inf)
 
     def live(p, col, pre, need=1):  # prefixes whose bound reaches the incumbent
         return screen.bound(p, col, pre, need) >= max(best, incumbent) * screen.floor ** 2

@@ -204,8 +204,7 @@ def subset_searches(draw):
     dq = dq.pow_matrix()
     if draw(st.booleans()):  # asymmetric: nothing screened, every row rescored
         dq = dq + np.triu(rng.uniform(size=(n, n)), 1)
-    incumbent = draw(st.sampled_from(("none", "optimum", "row")))
-    return kind, dq, k, fixed, draw(st.sampled_from((1, 5, 64, 1 << 16))), incumbent, \
+    return kind, dq, k, fixed, draw(st.sampled_from((1, 5, 64, 1 << 16))), \
         draw(st.integers(0, 2 ** 16))
 
 
@@ -214,33 +213,35 @@ def subset_searches(draw):
 def test_best_subset_matches_combinations(case):
     # rows list the fixed positions, then a combination of the pool; the
     # first maximum of batch_evaluate over all of them, in that order, wins,
-    # whatever value some row reaches is passed as the incumbent.  Small
-    # blocks split the prefix lists and the bipartition split weights.  Every
-    # row is bounded or screened, and a higher incumbent never rescores more
-    kind, dq, k, fixed, block, incumbent, pick = case
+    # whichever row the search scores first as its incumbent: the greedy one,
+    # the optimum or a random row.  Small blocks split the prefix lists and the
+    # bipartition split weights.  Every row is bounded or screened, and the
+    # optimum as incumbent never rescores more than another row does
+    kind, dq, k, fixed, block, pick = case
     m = len(dq) - fixed
     rows = np.array([tuple(range(m, len(dq))) + c for c in combinations(range(m), k - fixed)],
                     dtype=np.int64).reshape(-1, k)
     want = batch_evaluate(kind, dq, rows)
     i = int(want.argmax())
-    given_value = {"none": -np.inf, "optimum": want[i], "row": want[pick % len(rows)]}[incumbent]
-    screened, score = [], baselines._Screen.score
+    score, greedy_row, rescored = baselines._Screen.score, baselines._greedy_row, {}
+    for name, first in (("greedy", None), ("optimum", rows[i]), ("random", rows[pick % len(rows)])):
+        screened = []
 
-    def spy(self, p, r, j, best, pre=None):
-        screened.append(r.size)
-        return score(self, p, r, j, best, pre)
+        def spy(self, p, r, j, best, pre=None):
+            screened.append(r.size)
+            return score(self, p, r, j, best, pre)
 
-    with mock.patch.object(baselines, "_BLOCK", block), \
-            mock.patch.object(baselines._Screen, "score", spy):
-        row, value, rescored, bounded = _best_subset(kind, dq, k, fixed, given_value)
-        counted = sum(screened)
-        unaided = _best_subset(kind, dq, k, fixed)
-    assert (row.tolist(), value.hex()) == (rows[i].tolist(), want[i].hex())
-    assert (unaided[0].tolist(), unaided[1].hex()) == (row.tolist(), value.hex())
-    assert 1 <= rescored <= unaided[2] <= len(rows)
-    assert bounded + counted == (len(rows) if fixed < k else 0)
-    if not np.array_equal(dq, dq.T):
-        assert rescored == len(rows) and bounded == 0
+        with mock.patch.object(baselines, "_BLOCK", block), \
+                mock.patch.object(baselines._Screen, "score", spy), \
+                mock.patch.object(baselines, "_greedy_row",
+                                  greedy_row if first is None else lambda *_: first):
+            row, value, rescored[name], bounded = _best_subset(kind, dq, k, fixed)
+        assert (row.tolist(), value.hex()) == (rows[i].tolist(), want[i].hex()), name
+        assert bounded + sum(screened) == (len(rows) if fixed < k else 0)
+        assert 1 <= rescored[name] <= len(rows)
+        if not np.array_equal(dq, dq.T):
+            assert rescored[name] == len(rows) and bounded == 0
+    assert rescored["optimum"] <= min(rescored["greedy"], rescored["random"])
 
 
 def test_bound_drops_subsets_of_a_uniform_clique_search():
@@ -248,6 +249,22 @@ def test_bound_drops_subsets_of_a_uniform_clique_search():
     # all.  The greedy incumbent lets the bound drop 74515 of them
     sol = brute_force_opt(dm.gen_uniform(22, 2, seed=8), dm.Objective("clique"), 6)
     assert sol.meta["subsets"] == 74613 and sol.meta["bounded"] > 74613 // 2
+
+
+def test_brute_pair_search_keeps_its_bound_tables_small():
+    # C(2000, 2) = 1999000 subsets.  A pair search reads each suffix-max only
+    # at the next index, so it keeps one row of them: a whole 2000 x 2000
+    # table next to d^q peaked at 33.7 MB, against 4.1 MB without a bound
+    inst = dm.gen_uniform(2000, 2, seed=1)
+    inst.pow_matrix()
+    tracemalloc.start()
+    try:
+        sol = brute_force_opt(inst, dm.Objective("clique"), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.meta["subsets"] == 1999000 and sol.meta["bounded"] > 1999000 // 2
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("kind", ("clique", "star", "bipartition"))
