@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .diversity import (EXACT_BIPARTITION_CAP, Objective, Solution,
-                        balanced_split_masks, batch_evaluate, evaluate)
+                        balanced_split_masks, batch_evaluate, check_args, evaluate)
 from .errors import EnumerationCapError
 from .metric import MetricInstance
 
@@ -300,16 +300,10 @@ def brute_force_opt(inst: MetricInstance, obj: Objective, k: int,
     ``meta`` counts ``subsets``, ``bounded`` (dropped unscreened) and
     ``rescored``.  Refuses more than ``enum_cap`` subsets.
     """
-    if obj.q != inst.q:
-        raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
-    if not 2 <= k <= inst.n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={inst.n}")
-    if obj.kind == "bipartition":
-        if k % 2:
-            raise ValueError(f"bipartition needs even k, got {k}")
-        if k > EXACT_BIPARTITION_CAP:
-            raise EnumerationCapError(
-                f"bipartition oracle supports k up to {EXACT_BIPARTITION_CAP}, got {k}")
+    check_args(inst, obj, k)
+    if obj.kind == "bipartition" and k > EXACT_BIPARTITION_CAP:
+        raise EnumerationCapError(
+            f"bipartition oracle supports k up to {EXACT_BIPARTITION_CAP}, got {k}")
     count = math.comb(inst.n, k)
     if count > enum_cap:
         raise EnumerationCapError(
@@ -335,8 +329,7 @@ def greedy_clique(inst: MetricInstance, k: int) -> Solution:
     the largest total q-power distance to the chosen set, breaking ties toward
     the lowest index.
     """
-    if not 2 <= k <= inst.n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={inst.n}")
+    check_args(inst, k=k)
     q = inst.q
     a = int(inst.dists_from(0).argmax())
     score = inst.dists_from(a)  # one array, updated in place

@@ -19,7 +19,7 @@ import numpy as np
 from .cells import decompose_variable, lift
 from .compositions import (count_compositions, enumerate_compositions, first_best,
                            raise_to_total)
-from .diversity import cross_values, values
+from .diversity import check_args, cross_values, values
 from .errors import BudgetExceededError
 from .metric import MetricInstance, check_indices
 
@@ -43,7 +43,11 @@ def star_center(inst: MetricInstance, T) -> tuple[int, float]:
         raise ValueError(f"need at least 2 elements, got {len(elems)}")
     support = sorted(set(elems))
     mult = np.array([elems.count(u) for u in support], dtype=np.float64)
-    dq = inst.pow_submatrix(support)
+    return _star(support, inst.pow_submatrix(support), mult)
+
+
+def _star(support: list[int], dq: np.ndarray, mult: np.ndarray) -> tuple[int, float]:
+    """``star_center`` of ``mult[i]`` copies of each ``support[i]``; d^q block ``dq``."""
     weights = dq @ mult
     i = int(weights.argmin())
     return support[i], float(weights[i])
@@ -57,10 +61,7 @@ def min_bisection(inst: MetricInstance, T, eps: float,
     is the exact cross weight of the returned split, so it always upper
     bounds the optimum.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    check_args(inst, eps=eps, budget=budget)
     elems = sorted(int(t) for t in T)
     check_indices(inst, elems)
     k = len(elems)
@@ -79,7 +80,7 @@ def min_bisection(inst: MetricInstance, T, eps: float,
         return BisectionResult(tuple(elems[: k // 2]), 0.0, 0,
                                {"z": elems[0], "delta_prime": 0.0})
 
-    z, _ = star_center(inst, elems)
+    z, _ = _star(support, dq_sup, mult_full)
     delta_prime = (4.0 * cl / (k * k)) / (2.0 ** q + 1.0)
     base = delta_prime ** (1.0 / q)
     delta = eps / 2.0 ** (q + 4.0)

@@ -19,6 +19,7 @@ centers are scored through ``values`` and searched by ``first_best``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -63,6 +64,31 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
 
+_UNCHECKED = object()
+
+
+def check_args(inst: MetricInstance, obj: Objective | None = None, k=_UNCHECKED, *,
+               eps=_UNCHECKED, budget=_UNCHECKED) -> None:
+    """Raise ``ValueError`` on an ``obj`` whose exponent is not the instance's,
+    a ``k`` that is not an integer in [2, n] (even for bipartition), an
+    ``eps`` outside (0, 1) or a negative ``budget``; skip what is not given."""
+    if obj is not None and obj.q != inst.q:
+        raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
+    if k is not _UNCHECKED:
+        try:
+            operator.index(k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {k!r}") from None
+        if not 2 <= k <= inst.n:
+            raise ValueError(f"need 2 <= k <= n, got k={k}, n={inst.n}")
+        if obj is not None and obj.kind == "bipartition" and k % 2:
+            raise ValueError(f"bipartition needs even k, got {k}")
+    if eps is not _UNCHECKED and not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if budget is not _UNCHECKED and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+
 @lru_cache(maxsize=64)
 def balanced_split_masks(k: int) -> np.ndarray:
     """Indicator rows for every balanced split of k slots with slot 0 pinned left.
@@ -89,8 +115,7 @@ def evaluate(inst: MetricInstance, obj: Objective, subset, *, eps: float | None 
     counts exactly.  On more distinct points it needs ``eps`` and is estimated
     by the balanced-bisection scheme (an upper estimate within 1 + eps).
     """
-    if obj.q != inst.q:
-        raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
+    check_args(inst, obj)
     idx = np.asarray(sorted(int(i) for i in subset), dtype=np.int64)
     k = idx.size
     if k < 2:

@@ -25,7 +25,7 @@ from .baselines import greedy_clique
 from .cells import CellDecomposition, decompose_fixed, lift
 from .compositions import (count_compositions, enumerate_compositions, first_best,
                            raise_to_total)
-from .diversity import Objective, Solution, evaluate, values
+from .diversity import Objective, Solution, check_args, evaluate, values
 from .metric import REL_TOL, MetricInstance, tol_leq
 
 CELL_FRACTION = 8.0        # cell radius = (eps / 8) * estimated average
@@ -111,12 +111,7 @@ def solve_fast(inst: MetricInstance, k: int, eps: float,
     """
     if inst.q != 1.0:
         raise ValueError(f"the fast clique scheme requires q = 1, got q = {inst.q}")
-    if not 2 <= k <= inst.n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={inst.n}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    check_args(inst, k=k, eps=eps, budget=budget)
 
     greedy = greedy_clique(inst, k)
     delta_prime = greedy.value / math.comb(k, 2)

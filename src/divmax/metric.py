@@ -13,8 +13,7 @@ coordinate, and every coordinate distance comes from one kernel,
 """
 from __future__ import annotations
 
-import codecs
-import io
+import itertools
 import os
 import stat
 import warnings
@@ -36,7 +35,7 @@ NORMS = ("l1", "l2", "linf")
 # arrays of this length beside its output, whatever n is.
 BLOCK = 1 << 14
 
-# Characters of an instance file read and parsed at a time.
+# Bytes of an instance file read and parsed at a time.
 LOAD_CHUNK_CHARS = 1 << 16
 # Body bytes per part: a larger body is parsed in ceil(body / PART_BYTES)
 # parts, at most one per CPU, each in its own process.  On 2 shared vCPUs two
@@ -44,16 +43,16 @@ LOAD_CHUNK_CHARS = 1 << 16
 PART_BYTES = 1 << 19
 
 
-def tol_leq(a, b, tol: float = REL_TOL):
-    """Tolerant ``a <= b`` with slack relative to the larger magnitude;
-    elementwise on arrays.  A row ``a`` longer than ``BLOCK`` against one
-    bound ``b`` is compared ``BLOCK`` entries at a time."""
+def tol_leq(a, b):
+    """Tolerant ``a <= b`` with ``REL_TOL`` slack relative to the larger
+    magnitude; elementwise on arrays.  A row ``a`` longer than ``BLOCK``
+    against one bound ``b`` is compared ``BLOCK`` entries at a time."""
     if np.ndim(a) == 1 and np.ndim(b) == 0 and len(a) > BLOCK:
         out = np.empty(len(a), dtype=bool)
         for lo in range(0, len(a), BLOCK):
-            out[lo:lo + BLOCK] = tol_leq(a[lo:lo + BLOCK], b, tol)
+            out[lo:lo + BLOCK] = tol_leq(a[lo:lo + BLOCK], b)
         return out
-    return a <= b + tol * np.maximum(np.abs(a), np.abs(b))
+    return a <= b + REL_TOL * np.maximum(np.abs(a), np.abs(b))
 
 
 def _norm_of(pairs, norm: str, wide: bool) -> np.ndarray:
@@ -283,27 +282,27 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
     Values are separated by whitespace.  Each is a finite decimal or
     exponent float in ASCII (``1``, ``-0.5``, ``2.5e-300``), optionally
     signed; ``inf``, ``nan``, underscores and non-ASCII digits are rejected.
-    Blank lines may follow the last row and nowhere else.  The body is read
-    from the file in chunks of about ``LOAD_CHUNK_CHARS`` characters, each
-    parsed by one ``numpy.loadtxt`` call into a preallocated array (for
-    points, column-major: one contiguous array per coordinate); only in a
-    chunk that fails are the lines searched for the first one that does not
-    parse, whose number the ``InstanceParseError`` carries.  A wrong number
-    of rows is reported before any bad line.  A body that parses but holds a
+    Blank lines may follow the last row and nowhere else.  The file is read
+    as UTF-8 whatever the locale, a byte that is not UTF-8 as U+FFFD, a bad
+    value like any other.  The body is read in chunks of about
+    ``LOAD_CHUNK_CHARS`` bytes cut after a newline, each parsed by one
+    ``numpy.loadtxt`` call into a preallocated array (for points,
+    column-major: one contiguous array per coordinate); only in a chunk that
+    fails are the lines searched for the first one that does not parse,
+    whose number the ``InstanceParseError`` carries.  A wrong number of rows
+    is reported before any bad line.  A body that parses but holds a
     non-finite value is refused with the number of its first such line.  The
     exponent q is not stored in the file; it is supplied by the caller.
 
-    A UTF-8 regular file whose body exceeds ``PART_BYTES`` is parsed in
-    parts on Linux: min(CPUs this process may run on, body / ``PART_BYTES``
-    rounded up) byte ranges cut after a newline, the first parsed here and
-    each other by a forked child into one shared buffer.  A body that any
-    part finds at fault is parsed again here as one part, so every error and
+    A regular file whose body exceeds ``PART_BYTES`` is parsed in parts on
+    Linux: min(CPUs this process may run on, body / ``PART_BYTES`` rounded
+    up) byte ranges cut after a newline, the first parsed here and each
+    other by a forked child into one shared buffer.  A body that any part
+    finds at fault is parsed again here as one part, so every error and
     its line number are those of the one-part parse.
     """
-    with open(path, "rb") as raw:
-        header = raw.readline()
-        fh = io.TextIOWrapper(raw)
-        first = header.decode(fh.encoding).splitlines()
+    with open(path, "rb") as fh:
+        first = fh.readline().decode("utf-8", "replace").splitlines()
         if not first or not first[0].strip():
             raise InstanceParseError("line 1: empty file, expected a header line")
         header = first[0]
@@ -351,13 +350,22 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
     return rows if rows.shape == (len(lines), width) else None
 
 
-def _line_chunks(fh, lines: list[str]):
-    """``lines``, then the rest of the file in lists of lines of about
-    ``LOAD_CHUNK_CHARS`` characters.  Each read is completed to a newline,
-    so the lines are those ``str.splitlines`` gives on the whole text."""
-    yield lines
-    while text := fh.read(LOAD_CHUNK_CHARS):
-        yield (text + fh.readline()).splitlines()
+def _chunks(read):
+    """The lines ``str.splitlines`` gives on the bytes ``read(size)`` returns,
+    decoded as UTF-8 with each undecodable byte replaced, in lists of about
+    ``LOAD_CHUNK_CHARS`` bytes cut after a newline byte (longer where one
+    line is, as in a file broken only by carriage returns)."""
+    held = []
+    while block := read(LOAD_CHUNK_CHARS):
+        cut = block.rfind(b"\n") + 1
+        if cut:  # the pieces are freed before the joined bytes are decoded
+            lines = b"".join([*held, block[:cut]]).decode("utf-8", "replace").splitlines()
+            held = [block[cut:]]
+            yield lines
+        else:
+            held.append(block)
+    if rest := b"".join(held):
+        yield rest.decode("utf-8", "replace").splitlines()
 
 
 def _scan(chunks, rows: np.ndarray | None, read: int, n: int, width: int):
@@ -390,23 +398,6 @@ def _scan(chunks, rows: np.ndarray | None, read: int, n: int, width: int):
     return read, body, bad, non_finite
 
 
-def _part_chunks(fd: int, lo: int, hi: int):
-    """The UTF-8 lines of bytes ``[lo, hi)`` of ``fd``, ``lo`` at a line start,
-    in lists of about ``LOAD_CHUNK_CHARS`` bytes cut after a newline (longer
-    where one line is).  ``os.pread`` leaves the shared file offset alone."""
-    size = LOAD_CHUNK_CHARS
-    while lo < hi:
-        want = min(size, hi - lo)
-        block = os.pread(fd, want, lo)
-        if not block:
-            return
-        cut = block.rfind(b"\n") + 1 if len(block) == want < hi - lo else len(block)
-        size = LOAD_CHUNK_CHARS if cut else 2 * size
-        if cut:
-            yield block[:cut].decode("utf-8").splitlines()
-            lo += cut
-
-
 def _part_holds(fd: int, lo: int, hi: int, rows: np.ndarray, at: int, end: int | None,
                 n: int, width: int) -> bool:
     """Parse bytes ``[lo, hi)``, whose first line is body line ``at``, into
@@ -414,10 +405,13 @@ def _part_holds(fd: int, lo: int, hi: int, rows: np.ndarray, at: int, end: int |
     line from n on is blank, and it ends at body line ``end`` (the last part,
     ``end`` None, must reach line n): exactly when a one-part parse of the
     whole body would accept this part's lines."""
-    try:
-        read, body, bad, non_finite = _scan(_part_chunks(fd, lo, hi), rows, at, n, width)
-    except UnicodeDecodeError:
-        return False
+    def pread(size: int) -> bytes:  # leaves the file offset, which parts share, alone
+        nonlocal lo
+        block = os.pread(fd, min(size, hi - lo), lo)
+        lo += len(block)
+        return block
+
+    read, body, bad, non_finite = _scan(_chunks(pread), rows, at, n, width)
     return (bad is None and non_finite is None and body <= n
             and (read >= n if end is None else read == end))
 
@@ -479,19 +473,19 @@ def _read_rows(fh, lines: list[str], n: int, width: int, what: str,
     # cannot fit in the file allocates nothing; the checks below then fail.
     info = os.fstat(fh.fileno())
     regular = stat.S_ISREG(info.st_mode)
-    start = fh.buffer.tell() if regular else info.st_size
+    start = fh.tell() if regular else info.st_size
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = min(cpus, -(-(info.st_size - start) // PART_BYTES))
     if regular and 2 * n * width > info.st_size:
         rows = None
-    elif (parts > 1 and width > 0 and not lines and hasattr(os, "fork")
-          and codecs.lookup(fh.encoding).name == "utf-8"):
+    elif parts > 1 and width > 0 and not lines and hasattr(os, "fork"):
         rows, held = _read_parts(fh.fileno(), start, info.st_size, parts, n, width, order)
         if held:
             return rows
     else:
         rows = np.empty((n, width), order=order)
-    read, body, bad, non_finite = _scan(_line_chunks(fh, lines), rows, 0, n, width)
+    read, body, bad, non_finite = _scan(itertools.chain([lines], _chunks(fh.read)),
+                                        rows, 0, n, width)
     if body != n:
         raise InstanceParseError(
             f"line {read + 1}: expected {n} {what} rows, found {body}")

@@ -27,7 +27,7 @@ from .baselines import _best_subset, _Screen
 from .cells import CellDecomposition, decompose_fixed, lift
 from .compositions import count_compositions, enumerate_compositions, first_best
 from .diversity import (EXACT_BIPARTITION_CAP, Objective, Solution, _expand_rows,
-                        evaluate, values)
+                        check_args, evaluate, values)
 from .errors import BudgetExceededError
 from .metric import REL_TOL, MetricInstance, diameter_estimate, tol_leq
 
@@ -123,16 +123,7 @@ def solve(inst: MetricInstance, obj: Objective, k: int, eps: float,
     scale, whose ball holds every point.  The solve raises at the first guess
     whose running total exceeds ``budget``.
     """
-    if obj.q != inst.q:
-        raise ValueError(f"objective exponent {obj.q} != instance exponent {inst.q}")
-    if not 2 <= k <= inst.n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={inst.n}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if obj.kind == "bipartition" and k % 2:
-        raise ValueError(f"bipartition needs even k, got {k}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    check_args(inst, obj, k, eps=eps, budget=budget)
 
     scales = build_guess_grid(inst, k)
     if not scales:

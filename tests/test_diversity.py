@@ -124,6 +124,18 @@ def test_objective_validation():
         dm.Objective("clique", 0.9)
 
 
+@pytest.mark.parametrize("k", [4.5, 4.0, None, "4"])
+def test_solvers_refuse_a_k_that_is_not_an_integer(k):
+    # greedy_clique returned 5 points for k = 4.5; the others failed deep inside
+    inst = dm.gen_uniform(20, 2, seed=1)
+    for solver in (lambda: dm.greedy_clique(inst, k), lambda: dm.solve(inst, CLIQUE, k, 0.5),
+                   lambda: dm.brute_force_opt(inst, CLIQUE, k),
+                   lambda: dm.solve_fast(inst, k, 0.5)):
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got {k!r}$"):
+            solver()
+    assert len(dm.greedy_clique(inst, np.int64(4)).subset) == 4
+
+
 def test_evaluate_dispatch(square):
     assert dm.evaluate(square, dm.Objective("clique"), range(4)) == pytest.approx(SQUARE_CLIQUE)
     assert dm.evaluate(square, dm.Objective("star"), range(4)) == pytest.approx(SQUARE_STAR)

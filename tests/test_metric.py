@@ -1,6 +1,9 @@
 """Distance backends, power distances, diameter estimate, balls, and file I/O."""
+import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -323,7 +326,7 @@ def test_dimension_below_one_is_a_header_error(tmp_path, dim):
 @pytest.mark.parametrize("text,lineno", PARSE_ERRORS)
 def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(InstanceParseError, match=rf"line {lineno}"):
         dm.load_instance(path)
 
@@ -427,12 +430,13 @@ def _load_both_ways(path, part_bytes):
     parts were parsed again as one part): each result an instance or the
     ``InstanceParseError`` message.  The parts load forks once per part after
     the first, at most CPUs - 1 times and at least once, and no child
-    outlives a load."""
+    outlives a load.  The second ``_scan`` call here, after the first part's,
+    is the one-part parse."""
     out = []
     for size in (1 << 40, part_bytes):
         with mock.patch.object(metric, "PART_BYTES", size), \
                 mock.patch.object(metric.os, "fork", wraps=os.fork) as fork, \
-                mock.patch.object(metric, "_line_chunks", wraps=metric._line_chunks) as one:
+                mock.patch.object(metric, "_scan", wraps=metric._scan) as scan:
             try:
                 out.append(dm.load_instance(path))
             except InstanceParseError as exc:
@@ -440,7 +444,7 @@ def _load_both_ways(path, part_bytes):
         assert 1 <= fork.call_count <= CPUS - 1 if size == part_bytes else not fork.called
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-    return out + [one.called]
+    return out + [scan.call_count == 2]
 
 
 @needs_parts
@@ -533,6 +537,58 @@ def test_a_failed_fork_leaves_one_part(tmp_path):
         np.testing.assert_array_equal(dm.load_instance(path).points, inst.points)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# Loads each path in a process whose locale encoding is ASCII, with
+# PART_BYTES set to the first argument, and prints that encoding, the forks,
+# and each load's points as hex bits or its InstanceParseError message.
+ASCII_LOAD = """
+import codecs, json, locale, os, sys
+from unittest import mock
+from divmax import metric
+from divmax.errors import InstanceParseError
+out = [codecs.lookup(locale.getpreferredencoding(False)).name]
+with mock.patch.object(metric, "PART_BYTES", int(sys.argv[1])), \\
+        mock.patch.object(metric.os, "fork", wraps=os.fork) as fork:
+    for path in sys.argv[2:]:
+        try:
+            out.append(metric.load_instance(path).points.tobytes().hex())
+        except InstanceParseError as exc:
+            out.append(str(exc))
+print(json.dumps(out + [fork.call_count]))
+"""
+
+
+def _load_in_ascii_locale(part_bytes, *paths):
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   os.path.dirname(os.path.dirname(dm.__file__)), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONIOENCODING", None)
+    done = subprocess.run([sys.executable, "-c", ASCII_LOAD, str(part_bytes), *map(str, paths)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    encoding, *loads, forks = json.loads(done.stdout)
+    assert encoding == "ascii"
+    return loads, forks
+
+
+def test_ascii_locale_reads_utf8_and_names_the_bad_line(tmp_path):
+    # the file means the same characters under any locale: a non-ASCII digit
+    # and a byte that is not UTF-8 are both bad values on their line
+    digit, byte = tmp_path / "digit.txt", tmp_path / "byte.txt"
+    digit.write_bytes("points 2 2 l2\n0 0\n1 \u0661\n".encode("utf-8"))
+    byte.write_bytes(b"points 2 2 l2\n0 0\n1 \xff\n")
+    loads, _ = _load_in_ascii_locale(1 << 40, digit, byte)
+    assert loads == ["line 3: could not convert string to float: '\u0661'",
+                     "line 3: could not convert string to float: '\ufffd'"]
+
+
+@needs_parts
+def test_ascii_locale_parses_in_parts(tmp_path):
+    path = tmp_path / "in.txt"
+    inst = dm.MetricInstance.from_points(np.arange(600.0).reshape(300, 2) / 7.0)
+    dm.save_instance(inst, path)
+    loads, forks = _load_in_ascii_locale(os.path.getsize(path) // CPUS, path)
+    assert forks >= 1 and loads == [dm.load_instance(path).points.tobytes().hex()]
 
 
 # ------------------------------------------- power-distance inequalities
