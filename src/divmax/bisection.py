@@ -37,8 +37,7 @@ class BisectionResult:
 def star_center(inst: MetricInstance, T) -> tuple[int, float]:
     """Center of the minimum-weight spanning star of the multiset T, and its
     weight.  Ties go to the lowest point index."""
-    elems = [int(t) for t in T]
-    check_indices(inst, elems)
+    elems = check_indices(inst, T).tolist()
     if len(elems) < 2:
         raise ValueError(f"need at least 2 elements, got {len(elems)}")
     support = sorted(set(elems))
@@ -53,6 +52,36 @@ def _star(support: list[int], dq: np.ndarray, mult: np.ndarray) -> tuple[int, fl
     return support[i], float(weights[i])
 
 
+def least_split(dq: np.ndarray, caps: np.ndarray, steps: np.ndarray, *, budget: int):
+    """The grid's count vector ``pick`` in ``[0, caps]``, raised to half of ``caps``'
+    total, whose split against ``caps - pick`` has the least cross weight over the
+    d^q block ``dq``; that weight; and the number of grid vectors, counted before
+    any is built (more than ``budget`` raise ``BudgetExceededError``).  Grid
+    coordinate i runs through the multiples of ``steps[i]`` up to ``caps[i]``."""
+    half = int(caps.sum()) // 2
+    grid = [range(0, int(c) + 1, int(st)) for c, st in zip(caps, steps)]
+    # With unit steps the grid holds every count vector in [0, caps] that sums
+    # to half, so raises are skipped, and lexicographic order makes the first
+    # best the smallest; a split's complement flips coordinate 0 to
+    # caps[0] - x, so keeping x <= caps[0] // 2 scores one of each pair.
+    # Other grids are raised to half; the first best in grid order wins.
+    at_most = bool((steps > 1).any())
+    if not at_most:
+        grid[0] = range(0, int(caps[0]) // 2 + 1)
+    counted = count_compositions(grid, half, at_most=at_most)
+    if counted > budget:
+        raise BudgetExceededError(
+            f"grid budget exceeded: {counted} predicted candidate vectors > budget {budget}")
+    blocks = enumerate_compositions(grid, half, at_most=at_most)
+    if at_most:
+        blocks = (raise_to_total(block, caps, steps, half) for block in blocks)
+    # negation is exact, so the best negated weight is the least weight's bits
+    pick, best = first_best(blocks, lambda b: -cross_values(dq, b.astype(np.float64), caps - b))
+    # a split and its complement tie exactly; choose between them by order,
+    # not by the last bit of their computed values
+    return min(tuple(pick.tolist()), tuple((caps - pick).tolist())), -float(best), counted
+
+
 def min_bisection(inst: MetricInstance, T, eps: float,
                   *, budget: int = DEFAULT_BUDGET) -> BisectionResult:
     """Balanced bisection of the multiset T with value <= (1 + eps) * optimum.
@@ -62,8 +91,7 @@ def min_bisection(inst: MetricInstance, T, eps: float,
     bounds the optimum.
     """
     check_args(inst, eps=eps, budget=budget)
-    elems = sorted(int(t) for t in T)
-    check_indices(inst, elems)
+    elems = sorted(check_indices(inst, T).tolist())
     k = len(elems)
     if k < 2 or k % 2:
         raise ValueError(f"need an even multiset size >= 2, got {k}")
@@ -91,31 +119,8 @@ def min_bisection(inst: MetricInstance, T, eps: float,
     label = decomp.label[np.searchsorted(decomp.points, elems)]
     caps = np.bincount(label)
     steps = np.maximum(np.floor(grid_frac * caps).astype(np.int64), 1)
-    half = k // 2
-
-    grid = [range(0, int(c) + 1, int(st)) for c, st in zip(caps, steps)]
-    # With unit steps the grid holds every count vector in [0, caps] that sums
-    # to k/2, so raises are skipped, and lexicographic order makes the first
-    # best the smallest; a split's complement flips coordinate 0 to
-    # caps[0] - x, so keeping x <= caps[0] // 2 scores one of each pair.
-    # Other grids are raised to k/2; the first best in grid order wins.
-    at_most = bool((steps > 1).any())
-    if not at_most:
-        grid[0] = range(0, int(caps[0]) // 2 + 1)
-    counted = count_compositions(grid, half, at_most=at_most)
-    if counted > budget:
-        raise BudgetExceededError(
-            f"grid budget exceeded: {counted} predicted candidate vectors > budget {budget}")
-    dq_c = inst.pow_submatrix(decomp.centers)
-    m_full = caps.astype(np.float64)
-    blocks = enumerate_compositions(grid, half, at_most=at_most)
-    if at_most:
-        blocks = (raise_to_total(block, caps, steps, half) for block in blocks)
-    pick, _ = first_best(blocks, lambda b: -cross_values(dq_c, b.astype(np.float64), m_full - b))
-
-    # a split and its complement tie exactly; choose between them by order,
-    # not by the last bit of their computed values
-    pick = min(tuple(pick.tolist()), tuple((caps - pick).tolist()))
+    pick, _, counted = least_split(inst.pow_submatrix(decomp.centers), caps, steps,
+                                   budget=budget)
     in_left = np.zeros(k, dtype=bool)
     in_left[lift(np.arange(k), label, pick)] = True
     left, right = np.asarray(elems)[in_left], np.asarray(elems)[~in_left]

@@ -184,9 +184,8 @@ def _greedy(inst: MetricInstance, order: np.ndarray,
 def _subset_order(inst: MetricInstance, subset) -> np.ndarray:
     if subset is None:
         return np.arange(inst.n, dtype=np.int64)
-    order = np.asarray(sorted({int(i) for i in subset}), dtype=np.int64)
-    check_indices(inst, order)
-    return order
+    # not np.unique: its first call in a process imports numpy.ma (about 17 ms)
+    return np.asarray(sorted(set(check_indices(inst, subset).tolist())), dtype=np.int64)
 
 
 def decompose_fixed(inst: MetricInstance, subset, delta: float) -> CellDecomposition:

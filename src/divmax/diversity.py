@@ -13,9 +13,10 @@ copy as a distinct point at pairwise distance zero from its siblings.
 Batches of candidates come in two row forms over a d^q block ``dq``, and
 each has one evaluator.  Index rows (``batch_evaluate``) list a candidate's
 points as positions into ``dq``, repeats being coincident copies; the
-brute-force oracle uses them.  Count rows (``values``) give a multiplicity
-for every position of ``dq``; the solvers' multiplicity vectors over cell
-centers are scored through ``values`` and searched by ``first_best``.
+brute-force oracle uses them.  Count rows (``values``, clique and star only)
+give a multiplicity for every position of ``dq``; the solvers' multiplicity
+vectors over cell centers are scored through ``values`` and searched by
+``first_best``.  Bipartition count rows are scored as expanded index rows.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .compositions import BLOCK_ENTRIES, enumerate_compositions, first_best
+from .compositions import BLOCK_ENTRIES, enumerate_compositions
 from .errors import EnumerationCapError
 from .metric import MetricInstance, check_indices
 
@@ -111,37 +112,32 @@ def evaluate(inst: MetricInstance, obj: Objective, subset, *, eps: float | None 
 
     Clique, star, and bipartitions of at most ``EXACT_BIPARTITION_CAP``
     elements score one ``batch_evaluate`` row.  A larger bipartition on at
-    most ``MULTISET_SPLIT_CAP`` distinct points enumerates the per-point left
-    counts exactly.  On more distinct points it needs ``eps`` and is estimated
+    most ``MULTISET_SPLIT_CAP`` distinct points is split exactly by
+    ``bisection.least_split``, which refuses more than ``DEFAULT_BUDGET`` left
+    count vectors.  On more distinct points it needs ``eps`` and is estimated
     by the balanced-bisection scheme (an upper estimate within 1 + eps).
     """
     check_args(inst, obj)
-    idx = np.asarray(sorted(int(i) for i in subset), dtype=np.int64)
+    idx = np.sort(check_indices(inst, subset))
     k = idx.size
     if k < 2:
         raise ValueError(f"subset too small: need at least 2 points, got {k}")
-    check_indices(inst, idx)
     if obj.kind == "bipartition" and k % 2:
         raise ValueError(f"bipartition needs an even subset size, got {k}")
     if obj.kind != "bipartition" or k <= EXACT_BIPARTITION_CAP:
         return float(batch_evaluate(obj.kind, inst.pow_submatrix(idx), np.arange(k)[None, :])[0])
+    from .bisection import DEFAULT_BUDGET, least_split, min_bisection
+
     support, mult = np.unique(idx, return_counts=True)
     if support.size <= MULTISET_SPLIT_CAP:
-        # every per-point left count vector 0 <= l <= mult with sum(l) = k / 2;
-        # negation is exact, so the best negated weight is the minimum's bits
-        d = inst.pow_submatrix(support)
-        _, best = first_best(
-            enumerate_compositions([range(m + 1) for m in mult.tolist()], k // 2),
-            lambda left: -cross_values(d, left.astype(np.float64), mult - left))
-        return -float(best)
+        return least_split(inst.pow_submatrix(support), mult, np.ones_like(mult),
+                           budget=DEFAULT_BUDGET)[1]
     if eps is None:
         raise EnumerationCapError(
             f"bipartition of {k} elements on {support.size} distinct points exceeds the "
             f"exact caps ({EXACT_BIPARTITION_CAP} elements, {MULTISET_SPLIT_CAP} points); "
             "pass eps to evaluate approximately")
-    from .bisection import min_bisection
-
-    return min_bisection(inst, idx.tolist(), eps).value
+    return min_bisection(inst, idx, eps).value
 
 
 def centroid_clique_identity(inst: MetricInstance, subset) -> tuple[float, float]:
@@ -154,7 +150,7 @@ def centroid_clique_identity(inst: MetricInstance, subset) -> tuple[float, float
         raise ValueError("centroid identity needs a coordinate backend with the l2 norm")
     if inst.q != 2.0:
         raise ValueError(f"centroid identity holds at q = 2, instance has q = {inst.q}")
-    idx = np.asarray(sorted(int(i) for i in subset), dtype=np.int64)
+    idx = np.sort(check_indices(inst, subset))
     value = evaluate(inst, Objective("clique", inst.q), idx)  # checks size and range
     pts = inst.points[idx]
     norms = np.sqrt((pts * pts).sum(axis=1))
@@ -209,8 +205,8 @@ def _expand_rows(counts: np.ndarray) -> np.ndarray:
 
 
 def values(kind: str, dq: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Objective value of each count row: entry j is the multiplicity of
-    position j of ``dq``.  Bipartition rows must have integer counts."""
+    """Clique or star value of each count row: entry j is the multiplicity of
+    position j of ``dq``."""
     f = counts.astype(np.float64)
     if kind == "clique":
         return cross_values(dq, f, f) / 2.0
@@ -218,6 +214,4 @@ def values(kind: str, dq: np.ndarray, counts: np.ndarray) -> np.ndarray:
         sums = f @ dq
         sums[counts == 0] = np.inf
         return sums.min(axis=1)
-    if kind == "bipartition":
-        return batch_evaluate(kind, dq, _expand_rows(counts))
-    raise ValueError(f"unknown objective {kind!r}")
+    raise ValueError(f"count rows score clique and star, not {kind!r}")

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .baselines import brute_force_opt
 from .diversity import Objective
 from .metric import MetricInstance
 
@@ -132,8 +133,7 @@ class ReductionVerdict:
         return self.equivalence_ok and self.gap_ok
 
 
-def verify_reduction(ks: KSumInstance, inst: MetricInstance | None = None,
-                     *, enum_cap: int = 2_000_000) -> ReductionVerdict:
+def verify_reduction(ks: KSumInstance, inst: MetricInstance | None = None) -> ReductionVerdict:
     """Cross-check the gadget: zero-sum existence vs the brute-force ceiling.
 
     Confirms that a zero-sum k-subset exists exactly when the maximum
@@ -141,13 +141,11 @@ def verify_reduction(ks: KSumInstance, inst: MetricInstance | None = None,
     and that otherwise the maximum respects the gap
     (2k)^2 * (1 - 1 / (4 t^2 k^3)).
     """
-    from .baselines import brute_force_opt
-
     if inst is None:
         inst = gen_ksum_reduction(ks)
     exists = zero_sum_subset_exists(ks.values, ks.k)
     k2 = 2 * ks.k
-    opt = brute_force_opt(inst, Objective("clique", 2.0), k2, enum_cap=enum_cap)
+    opt = brute_force_opt(inst, Objective("clique", 2.0), k2)
     ceiling = float(k2 * k2)
     hit = abs(opt.value - ceiling) <= 1e-9 * ceiling
     equivalence_ok = exists == hit

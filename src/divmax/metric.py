@@ -212,11 +212,15 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} values must be finite, got {float(a[at])!r} at {at}")
 
 
-def check_indices(inst: MetricInstance, idx) -> None:
-    """Raise ``IndexError`` unless every index lies in ``[0, inst.n)``."""
-    idx = np.asarray(idx, dtype=np.int64)
+def check_indices(inst: MetricInstance, idx) -> np.ndarray:
+    """The indices ``idx`` (read once) as an int64 array; ``ValueError`` on a
+    non-integer, ``IndexError`` on an index outside ``[0, inst.n)``."""
+    idx = np.asarray(idx if isinstance(idx, np.ndarray) else list(idx))
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"subset indices must be integers, got {idx.dtype} values")
     if idx.size and (idx.min() < 0 or idx.max() >= inst.n):
         raise IndexError(f"subset index out of range [0, {inst.n})")
+    return idx.astype(np.int64, copy=False)
 
 
 def diameter_estimate(inst: MetricInstance) -> float:

@@ -178,6 +178,17 @@ def test_indices_outside_the_instance_rejected():
         min_bisection(inst, [0, 1, 2, 10], 0.5)
 
 
+def test_non_integer_indices_rejected():
+    # int() would truncate 0.5 .. 3.5 to the points 0 .. 3
+    inst = dm.gen_uniform(10, 2, seed=1)
+    msg = "^subset indices must be integers, got float64 values$"
+    with pytest.raises(ValueError, match=msg):
+        star_center(inst, [0.5, 1.5, 2.5])
+    with pytest.raises(ValueError, match=msg):
+        min_bisection(inst, [0.5, 1.5, 2.5, 3.5], 0.5)
+    assert star_center(inst, np.array([0, 1, 2], dtype=np.int32)) == star_center(inst, [0, 1, 2])
+
+
 def test_bisection_budget():
     inst = dm.gen_uniform(12, 2, seed=41)
     with pytest.raises(BudgetExceededError, match="budget"):

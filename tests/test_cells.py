@@ -56,6 +56,13 @@ def test_fixed_subset_order_independent_of_listing():
     assert a.centers == b.centers and a.label.tolist() == b.label.tolist()
 
 
+def test_non_integer_subset_rejected(square):
+    with pytest.raises(ValueError, match="^subset indices must be integers, got float64 values$"):
+        decompose_fixed(square, [0.5, 1.5, 2.5], 0.5)
+    with pytest.raises(ValueError, match="^subset indices must be integers, got float64 values$"):
+        decompose_variable(square, [0.0, 1.0, 2.0], 0, 1.0, 0.5)
+
+
 def test_fixed_negative_radius_rejected(square):
     with pytest.raises(ValueError, match="radius"):
         decompose_fixed(square, range(4), -0.1)

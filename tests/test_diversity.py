@@ -2,8 +2,10 @@
 import math
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import divmax as dm
+from divmax import bisection
 from divmax.bisection import star_center
+from divmax.compositions import count_compositions
 from divmax.diversity import _expand_rows, balanced_split_masks, batch_evaluate, values
-from divmax.errors import EnumerationCapError
+from divmax.errors import BudgetExceededError, EnumerationCapError
 from divmax.metric import tol_leq
 
 from conftest import random_subsets
@@ -23,6 +27,14 @@ SQUARE_CLIQUE = 4.0 + 2.0 * ROOT2        # six pairs: four sides + two diagonals
 SQUARE_STAR = 2.0 + ROOT2                # any corner: two sides + one diagonal
 SQUARE_BP = 4.0                          # diagonal pairs kept on the same side
 CLIQUE, STAR, BIPARTITION = (dm.Objective(kind) for kind in ("clique", "star", "bipartition"))
+
+
+def _row_values(kind, dq, counts):
+    """Value of each count row: clique and star through ``values``,
+    bipartition through the row's expanded index row."""
+    if kind == "bipartition":
+        return batch_evaluate(kind, dq, _expand_rows(counts))
+    return values(kind, dq, counts)
 
 
 # ------------------------------------------------------------- subset values
@@ -86,6 +98,16 @@ def test_subset_too_small(square):
         dm.evaluate(square, CLIQUE, [0])
     with pytest.raises(IndexError):
         dm.evaluate(square, STAR, [0, 9])
+
+
+def test_non_integer_indices_rejected():
+    # int() would truncate these to the points 0, 1, 2
+    inst = dm.gen_uniform(6, 2, seed=1, q=2.0)
+    msg = "^subset indices must be integers, got float64 values$"
+    with pytest.raises(ValueError, match=msg):
+        dm.evaluate(inst, dm.Objective("clique", 2.0), [0.9, 1.7, 2.2])
+    with pytest.raises(ValueError, match=msg):
+        dm.centroid_clique_identity(inst, [0.9, 1.7, 2.2])
 
 
 def test_bipartition_and_multiset_reject_out_of_range_indices():
@@ -211,7 +233,7 @@ def test_all_ones_multiset_equals_subset(kind, seed):
     sub = sorted(int(i) for i in rng.choice(12, size=k, replace=False))
     obj = dm.Objective(kind, inst.q)
     ones = np.ones((1, k), dtype=np.int64)
-    assert values(kind, inst.pow_submatrix(sub), ones)[0] == pytest.approx(
+    assert _row_values(kind, inst.pow_submatrix(sub), ones)[0] == pytest.approx(
         dm.evaluate(inst, obj, sub), rel=1e-12)
 
 
@@ -247,7 +269,7 @@ def test_multiset_matches_count_row(seed):
     dq = inst.pow_submatrix(support)
     for kind in ("clique", "star", "bipartition"):
         got = dm.evaluate(inst, dm.Objective(kind, inst.q), multiset)
-        want = float(values(kind, dq, mult[None])[0])
+        want = float(_row_values(kind, dq, mult[None])[0])
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -259,8 +281,8 @@ def test_multiset_split_delegation_beyond_cap():
     with pytest.raises(EnumerationCapError, match="pass eps"):
         dm.evaluate(inst, obj, multiset)
     approx = dm.evaluate(inst, obj, multiset, eps=0.25)
-    exact = float(values("bipartition", inst.pow_submatrix(range(11)),
-                         np.array([[8] + [1] * 10]))[0])
+    exact = float(_row_values("bipartition", inst.pow_submatrix(range(11)),
+                              np.array([[8] + [1] * 10]))[0])
     assert exact * (1 - 1e-9) <= approx <= exact * 1.25 * (1 + 1e-9)
 
 
@@ -273,6 +295,22 @@ def test_multiset_all_ones_beyond_split_cap_stays_exact():
     masks = balanced_split_masks(12)
     want = min(float(m @ dq @ (1.0 - m)) for m in masks)
     assert dm.evaluate(inst, obj, range(12)) == pytest.approx(want, rel=1e-12)
+
+
+def test_multiset_split_over_the_budget_is_refused_unbuilt():
+    # 20 copies of 10 points: one of each split and its complement, with at
+    # most 10 copies of point 0 on the left, is counted and refused before
+    # any left count vector is built
+    inst = dm.gen_uniform(10, 2, seed=3)
+    rows = count_compositions([range(11)] + [range(21)] * 9, 100)
+    assert rows == 179_693_291_624
+    start = time.perf_counter()
+    with mock.patch.object(bisection, "enumerate_compositions", side_effect=AssertionError):
+        with pytest.raises(BudgetExceededError,
+                           match=rf"^grid budget exceeded: {rows} predicted candidate "
+                                 rf"vectors > budget {bisection.DEFAULT_BUDGET}$"):
+            dm.evaluate(inst, BIPARTITION, list(range(10)) * 20)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bipartition_above_cap_on_few_points_is_exact():
@@ -326,7 +364,7 @@ def test_batch_matches_scalar_evaluation(kind):
 def test_count_rows_match_index_rows(seed):
     # count rows over cell centers plus forced outliers (count 1), as the
     # solvers build them, against their expanded index rows and, for an
-    # all-ones row, the subset evaluator
+    # all-ones row, the subset evaluator; ``values`` refuses bipartition rows
     rng = np.random.default_rng(seed)
     q = float(rng.choice([1.0, 2.0]))
     inst = dm.gen_uniform(9, 2, seed=int(rng.integers(1 << 30)), q=q)
@@ -336,13 +374,16 @@ def test_count_rows_match_index_rows(seed):
     dq = inst.pow_submatrix(ext)
     counts = np.hstack([rng.multinomial(k - nout, [1.0 / ncent] * ncent, size=6),
                         np.ones((6, nout), dtype=np.int64)])
-    for kind in ("clique", "star", "bipartition"):
+    for kind in ("clique", "star"):
         np.testing.assert_allclose(values(kind, dq, counts),
                                    batch_evaluate(kind, dq, _expand_rows(counts)),
                                    rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="count rows score clique and star"):
+        values("bipartition", dq, counts)
+    for kind in ("clique", "star", "bipartition"):
         if len(ext) >= 2 and (kind != "bipartition" or len(ext) % 2 == 0):
             ones = np.ones((1, len(ext)), dtype=np.int64)
-            assert values(kind, dq, ones)[0] == pytest.approx(
+            assert _row_values(kind, dq, ones)[0] == pytest.approx(
                 dm.evaluate(inst, dm.Objective(kind, q), ext), rel=1e-12, abs=1e-12)
 
 

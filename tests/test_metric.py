@@ -63,6 +63,16 @@ def test_index_out_of_range(square):
         square.dists_from(-1)
 
 
+def test_check_indices_returns_int64_and_refuses_non_integers(square):
+    got = metric.check_indices(square, (i for i in [3, 0, 3]))  # read once
+    assert got.dtype == np.int64 and got.tolist() == [3, 0, 3]
+    assert metric.check_indices(square, np.array([1, 2], dtype=np.uint8)).dtype == np.int64
+    assert metric.check_indices(square, []).dtype == np.int64
+    for bad in ([0.9, 1.7], np.array([1.0, 2.0]), ["1"], [True, False]):
+        with pytest.raises(ValueError, match="^subset indices must be integers"):
+            metric.check_indices(square, bad)
+
+
 def test_construction_validation():
     with pytest.raises(ValueError, match="at least 2"):
         dm.MetricInstance.from_points([[0.0, 0.0]])
@@ -393,6 +403,24 @@ def test_trailing_blank_lines_are_fine(tmp_path):
     path = tmp_path / "ok.txt"
     path.write_text("points 1 2 l2\n0.0\n1.0\n\n\n")
     assert dm.load_instance(path).n == 2
+
+
+@pytest.mark.parametrize("chunk", [metric.LOAD_CHUNK_CHARS, 2])
+def test_last_row_without_a_newline(tmp_path, chunk):
+    # a one-part load holds the unterminated last row back until the reader
+    # runs dry, then parses it alone
+    path = tmp_path / "f.txt"
+    with mock.patch.object(metric, "LOAD_CHUNK_CHARS", chunk), \
+            mock.patch.object(metric, "_read_parts", side_effect=AssertionError("split")):
+        path.write_bytes(b"points 2 3 l2\n0 0\n1 1\n2 2.5")
+        np.testing.assert_array_equal(dm.load_instance(path).points, [[0, 0], [1, 1], [2, 2.5]])
+        path.write_bytes(b"matrix 2\n0 1\n1 0")
+        np.testing.assert_array_equal(dm.load_instance(path, validate=True).matrix,
+                                      [[0, 1], [1, 0]])
+        path.write_bytes(b"points 2 3 l2\n0 0\n1 1\n2 oops")
+        with pytest.raises(InstanceParseError,
+                           match=r"^line 4: could not convert string to float: 'oops'$"):
+            dm.load_instance(path)
 
 
 def test_loader_cases_in_two_character_chunks(tmp_path):

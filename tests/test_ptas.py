@@ -16,7 +16,7 @@ from divmax import baselines, compositions, diversity, ptas
 from divmax.compositions import count_compositions, first_best, raise_to_total
 from divmax.errors import BudgetExceededError
 from divmax.metric import diameter_estimate, tol_leq
-from divmax.diversity import values
+from divmax.diversity import _expand_rows, batch_evaluate, values
 from divmax.ptas import (GUESS_SLACK, OUTLIER_RADIUS_COEFF, build_guess_grid,
                          enumerate_compositions, solve)
 
@@ -394,13 +394,14 @@ def test_solve_singleton_cells_cost_one_enumeration(kind):
 
 def _count_row_search(kind, dq, k, fixed=0):
     """The count-row search of an all-singleton guess: every 0/1 row over the
-    pool with the ``fixed`` last positions appended, scored by ``values``;
-    the first maximum wins."""
+    pool with the ``fixed`` last positions appended, scored by ``values`` or,
+    for bipartition, as index rows; the first maximum wins."""
     m = len(dq) - fixed
     best, best_row = -np.inf, None
     for counts in enumerate_compositions([[1, 0]] * m, k - fixed):
         full = np.hstack([counts, np.ones((len(counts), fixed), np.int64)])
-        vals = values(kind, dq, full)
+        vals = (batch_evaluate(kind, dq, _expand_rows(full)) if kind == "bipartition"
+                else values(kind, dq, full))
         i = int(vals.argmax())
         if best_row is None or vals[i] > best:
             best, best_row = vals[i], np.flatnonzero(full[i])
@@ -567,7 +568,7 @@ def test_screened_bipartition_rows_pick_the_unscreened_row(case):
 
     with mock.patch.object(compositions, "BLOCK_ROWS", 7):
         want = first_best(enumerate_compositions(choices, total),
-                          lambda c: values("bipartition", dq, full(c)))
+                          lambda c: batch_evaluate("bipartition", dq, _expand_rows(full(c))))
         with mock.patch.object(baselines, "_BLOCK", block):
             got = first_best(enumerate_compositions(choices, total), screened)
     assert (got[0].tolist(), got[1].hex()) == (want[0].tolist(), want[1].hex())
@@ -582,7 +583,8 @@ def test_screen_keeps_rows_a_few_ulps_below_the_block_best():
     inst = dm.MetricInstance.from_points([[0.1, 0.1], [0.1, 0.2], [0.1, 0.1]], q=2.0)
     dq, obj = inst.pow_matrix(), dm.Objective("bipartition", 2.0)
     choices = [range(6, -1, -1), range(4, -1, -1), range(1, -1, -1)]
-    want = first_best(enumerate_compositions(choices, 10), lambda c: values("bipartition", dq, c))
+    want = first_best(enumerate_compositions(choices, 10),
+                      lambda c: batch_evaluate("bipartition", dq, _expand_rows(c)))
     got = first_best(enumerate_compositions(choices, 10),
                      lambda c: ptas._rounded_values(inst, obj, [0, 1, 2], dq, c, 0.5))
     assert (got[0].tolist(), got[1].hex()) == (want[0].tolist(), want[1].hex())
