@@ -288,8 +288,9 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
     signed; ``inf``, ``nan``, underscores and non-ASCII digits are rejected.
     Blank lines may follow the last row and nowhere else.  The file is read
     as UTF-8 whatever the locale, a byte that is not UTF-8 as U+FFFD, a bad
-    value like any other.  The body is read in chunks of about
-    ``LOAD_CHUNK_CHARS`` bytes cut after a newline, each parsed by one
+    value like any other.  The header is read up to its first line break,
+    and the body in chunks of about ``LOAD_CHUNK_CHARS`` bytes cut after a
+    line break (see ``_chunks``), each parsed by one
     ``numpy.loadtxt`` call into a preallocated array (for points,
     column-major: one contiguous array per coordinate); only in a chunk that
     fails are the lines searched for the first one that does not parse,
@@ -301,12 +302,13 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
     A regular file whose body exceeds ``PART_BYTES`` is parsed in parts on
     Linux: min(CPUs this process may run on, body / ``PART_BYTES`` rounded
     up) byte ranges cut after a newline, the first parsed here and each
-    other by a forked child into one shared buffer.  A body that any part
-    finds at fault is parsed again here as one part, so every error and
-    its line number are those of the one-part parse.
+    other by a forked child into one shared buffer; shares past the last
+    newline get no part, so a body without one is parsed once, here.  A
+    body that any part finds at fault is parsed again here as one part, so
+    every error and its line number are those of the one-part parse.
     """
     with open(path, "rb") as fh:
-        first = fh.readline().decode("utf-8", "replace").splitlines()
+        first = _header(fh).splitlines()
         if not first or not first[0].strip():
             raise InstanceParseError("line 1: empty file, expected a header line")
         header = first[0]
@@ -341,6 +343,21 @@ def load_instance(path, q: float = 1.0, validate: bool = False) -> MetricInstanc
         f"line 1: unknown header {head[0]!r}; expected 'points' or 'matrix'")
 
 
+def _header(fh) -> str:
+    """The bytes of ``fh`` up to its first ``\\r``, ``\\n`` or ``\\r\\n``, decoded,
+    and none after it: the body, even one broken only by ``\\r``, is left to
+    ``_chunks``.  ``peek`` looks ahead on a pipe too."""
+    held = []
+    while buf := fh.peek(LOAD_CHUNK_CHARS):
+        ends = [i for i in (buf.find(b"\r"), buf.find(b"\n")) if i >= 0]
+        held.append(fh.read(min(ends) + 1 if ends else len(buf)))
+        if ends:
+            if held[-1].endswith(b"\r") and fh.peek(1)[:1] == b"\n":
+                fh.read(1)
+            break
+    return b"".join(held).decode("utf-8", "replace")
+
+
 def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
     """``lines`` as an array of shape (len(lines), width), or None if any line
     is not ``width`` floats (``loadtxt`` skips blank lines, so those fail the
@@ -357,11 +374,12 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray | None:
 def _chunks(read):
     """The lines ``str.splitlines`` gives on the bytes ``read(size)`` returns,
     decoded as UTF-8 with each undecodable byte replaced, in lists of about
-    ``LOAD_CHUNK_CHARS`` bytes cut after a newline byte (longer where one
-    line is, as in a file broken only by carriage returns)."""
+    ``LOAD_CHUNK_CHARS`` bytes cut after a newline byte or, in a block that
+    holds none, after its last carriage return that another byte follows,
+    so a ``\\r\\n`` pair is never cut (longer where one line is)."""
     held = []
     while block := read(LOAD_CHUNK_CHARS):
-        cut = block.rfind(b"\n") + 1
+        cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
         if cut:  # the pieces are freed before the joined bytes are decoded
             lines = b"".join([*held, block[:cut]]).decode("utf-8", "replace").splitlines()
             held = [block[cut:]]
@@ -438,9 +456,12 @@ def _read_parts(fd: int, start: int, size: int, parts: int, n: int, width: int,
             pos += j or len(block)
             if j:
                 break
+        if pos == size:  # no newline after this share: the parts so far take the rest
+            break
         cuts.append(pos)
         firsts.append(lines)
     cuts.append(size)
+    parts = len(cuts) - 1
     ends = firsts[1:] + [None]
 
     rows = np.ndarray((n, width), buffer=mmap.mmap(-1, 8 * n * width), order=order)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import divmax as dm
 from divmax import bisection
-from divmax.bisection import BisectionResult, min_bisection, star_center
+from divmax.bisection import BisectionResult, least_split, min_bisection, star_center
 from divmax.cells import decompose_variable, lift
-from divmax.compositions import enumerate_compositions, raise_to_total
+from divmax.compositions import enumerate_compositions, first_best, raise_to_total
 from divmax.diversity import balanced_split_masks, cross_values
 from divmax.errors import BudgetExceededError
 
@@ -118,6 +118,9 @@ def test_bisection_large_k_against_local_oracle():
     assert res.cells_used == 18
     assert res.provenance["candidates"] == math.comb(17, 9) == 24310
     assert res.value == pytest.approx(exact, rel=1e-12)
+    # searched as subsets: the bound drops some splits unscored
+    assert res.provenance["search"] == "subset"
+    assert 0 < res.provenance["bounded"] < 24310 and res.provenance["rescored"] >= 1
 
 
 def test_bisection_singleton_cells_recover_exact():
@@ -142,10 +145,14 @@ def _tie_toward(larger: bool):
 
 def test_bisection_tie_with_complement_is_canonical():
     # a split and its complement have the same value; which one comes back
-    # must not depend on how the evaluator rounds them
+    # must not depend on how the evaluator rounds them.  Two copies of point
+    # 0 make a cell of 2, so the grid scores splits with one copy left and
+    # their complements, which do the same (distinct points would each be a
+    # cell, searched as subsets with cell 0 always right).
     inst = dm.gen_uniform(10, 2, seed=29)
-    T = list(range(8))
+    T = [0, 0, 1, 2, 3, 4, 5, 6]
     plain = min_bisection(inst, T, 0.9)
+    assert plain.provenance["search"] == "grid"
     for larger in (False, True):
         with mock.patch.object(bisection, "cross_values", _tie_toward(larger)):
             res = min_bisection(inst, T, 0.9)
@@ -200,6 +207,24 @@ def test_bisection_budget():
     with pytest.raises(BudgetExceededError, match=f"^grid budget exceeded: {want} predicted "
                                                   "candidate vectors > budget 100000$"):
         min_bisection(inst, list(range(24)), 0.5, budget=100_000)
+
+
+def test_singleton_budget_refusal_comes_before_the_subset_search():
+    inst = dm.gen_uniform(200, 2, seed=24)
+    with mock.patch.object(bisection, "_best_subset", side_effect=AssertionError("searched")), \
+            pytest.raises(BudgetExceededError, match=f"^grid budget exceeded: {math.comb(17, 9)} "
+                                                     "predicted candidate vectors > budget 1000$"):
+        min_bisection(inst, list(range(18)), 0.5, budget=1000)
+
+
+def test_singletons_above_twenty_keep_the_grid():
+    # the subset search's prefix table, 8 C(19, 8) entries at k = 22, would
+    # exceed BLOCK_ENTRIES, so the grid is scored as before
+    inst = dm.gen_uniform(200, 2, seed=24)
+    with mock.patch.object(bisection, "_best_subset", side_effect=AssertionError("searched")):
+        res = min_bisection(inst, list(range(22)), 0.5)
+    assert res.cells_used == 22 and res.provenance["search"] == "grid"
+    assert res.provenance["candidates"] == math.comb(21, 11)
 
 
 def test_bisection_deterministic():
@@ -328,3 +353,45 @@ def test_heavy_cell_keeps_the_at_most_grid():
     assert steps.max() == 2
     assert res.provenance["candidates"] == rows
     assert res.left == left and res.value == value
+
+
+# ------------------------------- singleton cells, searched as subsets
+
+def _grid_split(dq):
+    """The unit grid's answer on singleton cells: the first least row of
+    ``enumerate_compositions``, scored by ``cross_values``, against its
+    complement by the rule of ``least_split``; and its weight."""
+    caps = np.ones(len(dq), dtype=np.int64)
+    grid = [range(1)] + [range(2)] * (len(dq) - 1)
+    pick, best = first_best(enumerate_compositions(grid, len(dq) // 2),
+                            lambda b: -cross_values(dq, b.astype(np.float64), caps - b))
+    return min(tuple(pick.tolist()), tuple((caps - pick).tolist())), -float(best)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 10),
+       st.sampled_from(["uniform", "clustered", "lattice"]),
+       st.sampled_from(["l1", "l2", "linf"]), st.sampled_from([1.0, 1.5, 2.0]))
+def test_singleton_subset_search_matches_the_grid(seed, half, layout, norm, q):
+    # On a lattice under l1 or linf at q = 1 or 2, d^q is an exact integer and
+    # exact ties are common: the first in grid order must win.  Elsewhere two
+    # splits may tie exactly in real numbers and differ in their last bits;
+    # then either may win.  The weight is the pick's, scored as one row, so
+    # it is within rounding of the grid's, which scores it in a block.
+    k = 2 * half
+    rng = np.random.default_rng(seed)
+    if layout == "lattice":
+        assume(norm != "l2" and q != 1.5)
+        pts = rng.integers(0, 4, (k, 2)).astype(np.float64)
+    elif layout == "clustered":
+        pts = rng.random((3, 2))[rng.integers(0, 3, k)] + 0.01 * rng.random((k, 2))
+    else:
+        pts = rng.random((k, 2))
+    dq = dm.MetricInstance.from_points(pts, norm=norm, q=q).pow_submatrix(np.arange(k))
+    ones = np.ones(k, dtype=np.int64)
+    pick, weight, counted, search = least_split(dq, ones, ones, budget=10 ** 7)
+    want, want_weight = _grid_split(dq)
+    assert counted == math.comb(k - 1, half)
+    assert search["search"] == "subset" and 0 <= search["bounded"] < counted
+    assert abs(weight - want_weight) <= 4 * k * k * np.finfo(np.float64).eps * want_weight
+    if layout == "lattice":
+        assert pick == want and weight == want_weight

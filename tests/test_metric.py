@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -445,6 +446,57 @@ def test_load_from_a_pipe():
     os.write(w, b"points 1 3 l2\n0\n1\n2\n")
     os.close(w)
     np.testing.assert_array_equal(dm.load_instance(r).points, [[0.0], [1.0], [2.0]])
+
+
+@pytest.mark.parametrize("newline", (b"\r", b"\r\n"))
+def test_header_ends_at_a_carriage_return_on_a_pipe(newline):
+    # the header is read up to its first break and no further, even where
+    # that is a "\r" whose "\n" comes in a later write
+    r, w = os.pipe()
+    os.write(w, b"points 1 3 l2\r")
+    os.write(w, newline[1:] + newline.join([b"0", b"1", b"2"]) + newline)
+    os.close(w)
+    np.testing.assert_array_equal(dm.load_instance(r).points, [[0.0], [1.0], [2.0]])
+
+
+def _traced_load(path) -> tuple[np.ndarray, int]:
+    """The points of a one-part load of ``path`` and its traced peak bytes."""
+    tracemalloc.start()
+    try:
+        with mock.patch.object(metric, "PART_BYTES", 1 << 40):
+            points = dm.load_instance(path).points
+        return points, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_file_broken_only_by_carriage_returns_is_read_in_chunks(tmp_path):
+    # with no "\n" to cut after, chunks are cut after a "\r", so the text is
+    # never held whole: the peak is that of the same file with "\n" endings
+    inst = dm.MetricInstance.from_points(np.random.default_rng(3).random((40_000, 2)))
+    path = tmp_path / "lf.txt"
+    dm.save_instance(inst, path)
+    lf, lf_peak = _traced_load(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    cr, cr_peak = _traced_load(path)
+    np.testing.assert_array_equal(cr, lf)
+    assert cr_peak <= 1.1 * lf_peak, (cr_peak, lf_peak)
+
+
+def test_a_body_without_newlines_is_parsed_once_in_one_part(tmp_path):
+    # no newline to cut the parts after: the first part takes the whole body,
+    # so no process is started and each row is parsed once
+    path = tmp_path / "cr.txt"
+    inst = dm.MetricInstance.from_points(np.arange(400.0).reshape(200, 2) / 7.0)
+    dm.save_instance(inst, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    with mock.patch.object(metric, "PART_BYTES", 16), \
+            mock.patch.object(metric.os, "sched_getaffinity", return_value={0, 1, 2, 3},
+                              create=True), \
+            mock.patch.object(metric.os, "fork", side_effect=AssertionError("forked")), \
+            mock.patch.object(metric, "_parse_rows", wraps=metric._parse_rows) as parse:
+        np.testing.assert_array_equal(dm.load_instance(path).points, inst.points)
+    assert sum(len(c.args[0]) for c in parse.call_args_list) == 200
 
 
 # A body is parsed in parts only where this process may run on two CPUs.
