@@ -26,21 +26,43 @@ def _extend(pre: np.ndarray, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return r, np.arange(r.size) + np.repeat(last + 1 - np.cumsum(c) + c, c)
 
 
+def _grow(below, hi: int, size: int):
+    """The prefixes of the blocks ``below``, each extended by every later
+    position up to ``hi``, in order, in blocks of ``size`` (the last may be
+    short).  One block below is extended at a time."""
+    rest = None  # the columns short of a block
+    for pre in below:
+        r, col = _extend(pre, hi)
+        nxt = np.empty((len(pre) + 1, r.size), np.int32)
+        np.take(pre, r, axis=1, out=nxt[:-1], mode="clip")  # "raise" would buffer
+        nxt[-1] = col
+        del r, col  # not held while the blocks are used
+        if rest is not None:  # complete the held columns first
+            a = size - rest.shape[1]
+            rest, nxt = np.hstack((rest, nxt[:, :a])), nxt[:, a:]
+            if rest.shape[1] < size:
+                continue
+            yield rest
+        cut = nxt.shape[1] - nxt.shape[1] % size
+        yield from (nxt[:, a:a + size] for a in range(0, cut, size))
+        rest = nxt[:, cut:] if cut < nxt.shape[1] else None
+    if rest is not None:
+        yield rest
+
+
 def _prefix_blocks(m: int, t: int, size: int):
     """The t-subsets of ``range(m - 1)``, t >= 1, in lexicographic order, as
     ``(short, r, col)``: subset i is column ``r[i]`` of ``short``, then
-    ``col[i]``.  Only the (t-1)-subsets, C(m-2, t-1) of them, are held whole;
-    each block of at most ``size`` of them comes as ``short`` with the subsets
-    that extend it."""
-    pre = np.empty((0, 1), np.int32)
+    ``col[i]``.  Each ``short`` is the next ``size`` (t-1)-subsets (fewer at
+    the end), and comes with the subsets that extend it.  Each level of
+    prefixes is grown from one block of the level below at a time and re-cut
+    into blocks of ``size``, so no level is held whole: each holds at most
+    the growths of two blocks below (the one being cut, and the one its
+    block in use came from), each of at most m times ``size`` columns."""
+    blocks = [np.empty((0, 1), np.int32)]
     for c in range(t - 1):
-        r, col = _extend(pre, m - t - 1 + c)
-        nxt = np.empty((c + 1, r.size), np.int32)
-        np.take(pre, r, axis=1, out=nxt[:c], mode="clip")  # "raise" would buffer
-        nxt[c] = col
-        pre = nxt
-    for b in range(0, pre.shape[1], size):
-        short = pre[:, b:b + size]
+        blocks = _grow(blocks, m - t - 1 + c, size)
+    for short in blocks:
         yield (short, *_extend(short, m - 2))
 
 

@@ -8,24 +8,24 @@ whose step is a small fraction of each cell's population.  Any grid choice is
 completed to exactly k/2 elements by bounded raises; when every step is 1 the
 grid is instead the set of vectors summing to k/2, one of each split and its
 complement, and when every cell also holds one element its splits are
-searched as subsets, by the bounded exact subset search of ``baselines``.
+searched as subsets, at any size the budget admits, by the bounded exact
+subset search of ``baselines``; only grids with a cell of several copies are
+enumerated as count vectors.
 The best completed vector's pre-image is returned together with its exact
 split value, which is within (1 + eps) of the optimal bisection.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import _best_subset
 from .cells import decompose_variable, lift
-from .compositions import (BLOCK_ENTRIES, count_compositions, enumerate_compositions,
-                           first_best, raise_to_total)
+from .compositions import count_compositions, enumerate_compositions, first_best, raise_to_total
 from .diversity import check_args, cross_values, values
 from .errors import BudgetExceededError
-from .metric import MetricInstance, check_indices
+from .metric import MetricInstance, check_indices, sorted_support
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -41,19 +41,18 @@ class BisectionResult:
 def star_center(inst: MetricInstance, T) -> tuple[int, float]:
     """Center of the minimum-weight spanning star of the multiset T, and its
     weight.  Ties go to the lowest point index."""
-    elems = check_indices(inst, T).tolist()
-    if len(elems) < 2:
-        raise ValueError(f"need at least 2 elements, got {len(elems)}")
-    support = sorted(set(elems))
-    mult = np.array([elems.count(u) for u in support], dtype=np.float64)
-    return _star(support, inst.pow_submatrix(support), mult)
+    idx = check_indices(inst, T)
+    if idx.size < 2:
+        raise ValueError(f"need at least 2 elements, got {idx.size}")
+    support, mult = sorted_support(idx)
+    return _star(support, inst.pow_submatrix(support), mult.astype(np.float64))
 
 
-def _star(support: list[int], dq: np.ndarray, mult: np.ndarray) -> tuple[int, float]:
+def _star(support: np.ndarray, dq: np.ndarray, mult: np.ndarray) -> tuple[int, float]:
     """``star_center`` of ``mult[i]`` copies of each ``support[i]``; d^q block ``dq``."""
     weights = dq @ mult
     i = int(weights.argmin())
-    return support[i], float(weights[i])
+    return int(support[i]), float(weights[i])
 
 
 def least_split(dq: np.ndarray, caps: np.ndarray, steps: np.ndarray, *, budget: int):
@@ -66,18 +65,17 @@ def least_split(dq: np.ndarray, caps: np.ndarray, steps: np.ndarray, *, budget: 
     ``steps[i]`` up to ``caps[i]``.
 
     When every cap is 1 and ``dq`` is exactly symmetric with a zero diagonal,
-    the splits are searched as subsets while ``_best_subset``'s prefix table,
-    (h - 3) C(c - 3, h - 3) entries for c cells and h = c - c // 2, fits
-    ``BLOCK_ENTRIES`` (up to c = 20).  They are the right halves W = {cell 0}
-    + R, R an (h - 1)-subset of the other cells.  With s the row sums of
-    ``dq``, M = 2 (h - 1) dq - (s_i + s_j), off its diagonal and shifted to a
-    least entry of 0, sums over the pairs of W to C(h, 2) times the shift
-    less (h - 1) times W's cross weight.  So the first best h-clique of M,
-    cell 0 last as the search's one fixed position, is the least split, and
-    its rows run in the grid's order.  ``bounded`` counts the splits the
-    search's bound drops unscored.  Where d^q is exact, so is M, and exact
-    ties go to the first split in grid order; splits that tie only within
-    rounding may come out either way.
+    the splits are searched as subsets by ``_best_subset``, which bounds its
+    own memory, whatever the number c of cells.  With h = c - c // 2, they
+    are the right halves W = {cell 0} + R, R an (h - 1)-subset of the other
+    cells.  With s the row sums of ``dq``, M = 2 (h - 1) dq - (s_i + s_j),
+    off its diagonal and shifted to a least entry of 0, sums over the pairs
+    of W to C(h, 2) times the shift less (h - 1) times W's cross weight.  So
+    the first best h-clique of M, cell 0 last as the search's one fixed
+    position, is the least split, and its rows run in the grid's order.
+    ``bounded`` counts the splits the search's bound drops unscored.  Where
+    d^q is exact, so is M, and exact ties go to the first split in grid
+    order; splits that tie only within rounding may come out either way.
     """
     half = int(caps.sum()) // 2
     grid = [range(0, int(c) + 1, int(st)) for c, st in zip(caps, steps)]
@@ -93,11 +91,10 @@ def least_split(dq: np.ndarray, caps: np.ndarray, steps: np.ndarray, *, budget: 
     if counted > budget:
         raise BudgetExceededError(
             f"grid budget exceeded: {counted} predicted candidate vectors > budget {budget}")
-    c = len(caps)
-    h = c - half
     if (not at_most and (caps == 1).all()
-            and (h <= 3 or (h - 3) * math.comb(c - 3, h - 3) <= BLOCK_ENTRIES)
             and np.array_equal(dq, dq.T) and not np.diagonal(dq).any()):
+        c = len(caps)
+        h = c - half
         s = dq.sum(axis=1)
         m = 2.0 * (h - 1) * dq - (s[:, None] + s[None, :])
         np.fill_diagonal(m, 0.0)
@@ -130,24 +127,25 @@ def min_bisection(inst: MetricInstance, T, eps: float,
     bounds the optimum.
     """
     check_args(inst, eps=eps, budget=budget)
-    elems = sorted(check_indices(inst, T).tolist())
-    k = len(elems)
+    support, mult = sorted_support(check_indices(inst, T))
+    elems = np.repeat(support, mult)  # T, sorted
+    k = elems.size
     if k < 2 or k % 2:
         raise ValueError(f"need an even multiset size >= 2, got {k}")
     q = inst.q
+    first = int(elems[0])
     if k == 2:
-        return BisectionResult((elems[0],), inst.dist_pow(elems[0], elems[1]), 0,
-                               {"z": elems[0], "delta_prime": None})
+        return BisectionResult((first,), inst.dist_pow(first, int(elems[1])), 0,
+                               {"z": first, "delta_prime": None})
 
-    support = sorted(set(elems))
-    mult_full = np.array([elems.count(u) for u in support], dtype=np.float64)
+    mult = mult.astype(np.float64)
     dq_sup = inst.pow_submatrix(support)
-    cl = float(values("clique", dq_sup, mult_full[None, :])[0])
+    cl = float(values("clique", dq_sup, mult[None, :])[0])
     if cl == 0.0:
-        return BisectionResult(tuple(elems[: k // 2]), 0.0, 0,
-                               {"z": elems[0], "delta_prime": 0.0})
+        return BisectionResult(tuple(elems[: k // 2].tolist()), 0.0, 0,
+                               {"z": first, "delta_prime": 0.0})
 
-    z, _ = _star(support, dq_sup, mult_full)
+    z, _ = _star(support, dq_sup, mult)
     delta_prime = (4.0 * cl / (k * k)) / (2.0 ** q + 1.0)
     base = delta_prime ** (1.0 / q)
     delta = eps / 2.0 ** (q + 4.0)
@@ -162,7 +160,7 @@ def min_bisection(inst: MetricInstance, T, eps: float,
                                            budget=budget)
     in_left = np.zeros(k, dtype=bool)
     in_left[lift(np.arange(k), label, pick)] = True
-    left, right = np.asarray(elems)[in_left], np.asarray(elems)[~in_left]
+    left, right = elems[in_left], elems[~in_left]
     value = float(inst.pow_submatrix(left, right).sum())
     return BisectionResult(tuple(left.tolist()), value, len(decomp.centers),
                            {"z": z, "delta_prime": delta_prime, "delta": delta,

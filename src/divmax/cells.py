@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metric
-from .metric import MetricInstance, check_indices, tol_leq
+from .metric import MetricInstance, check_indices, sorted_support, tol_leq
 
 
 @dataclass
@@ -184,8 +184,7 @@ def _greedy(inst: MetricInstance, order: np.ndarray,
 def _subset_order(inst: MetricInstance, subset) -> np.ndarray:
     if subset is None:
         return np.arange(inst.n, dtype=np.int64)
-    # not np.unique: its first call in a process imports numpy.ma (about 17 ms)
-    return np.asarray(sorted(set(check_indices(inst, subset).tolist())), dtype=np.int64)
+    return sorted_support(check_indices(inst, subset))[0]
 
 
 def decompose_fixed(inst: MetricInstance, subset, delta: float) -> CellDecomposition:

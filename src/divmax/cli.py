@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,53 +43,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class RunReport:
-    """One solver run, re-verified before emission."""
-
-    algo: str
-    objective: str
-    q: float
-    k: int
-    n: int
-    instance: str
-    value: float
-    subset: tuple[int, ...]
-    eps: float | None = None
-    seed: int | None = None
-    threads: int | None = None
-    oracle: float | None = None
-    ratio: float | None = None
-    wall_ms: float = 0.0
-    counters: dict = field(default_factory=dict)
-
-    def machine_line(self) -> str:
-        parts = [f"algo={self.algo}", f"objective={self.objective}",
-                 f"q={fmt9(self.q)}", f"k={self.k}"]
-        if self.eps is not None:
-            parts.append(f"eps={fmt9(self.eps)}")
-        parts += [f"n={self.n}", f"instance={self.instance}"]
-        if self.seed is not None:
-            parts.append(f"seed={self.seed}")
-        parts.append(f"value={fmt9(self.value)}")
-        if self.oracle is not None:
-            parts += [f"oracle={fmt9(self.oracle)}", f"ratio={fmt9(self.ratio)}"]
-        for key in sorted(self.counters):
-            parts.append(f"{key}={self.counters[key]}")
-        parts.append("subset=" + ",".join(str(i) for i in self.subset))
-        return "RESULT " + " ".join(parts)
-
-    def human_lines(self) -> list[str]:
-        # threads and wall time live here, off the machine line, so identical
-        # seeds and flags reproduce the RESULT line byte for byte
-        threads = "" if self.threads is None else f" (threads={self.threads})"
-        lines = [f"# {self.algo} on {self.instance}: {self.objective} q={fmt9(self.q)} "
-                 f"k={self.k} -> value {fmt9(self.value)} in {self.wall_ms:.1f} ms{threads}"]
-        if self.oracle is not None:
-            lines.append(f"# oracle {fmt9(self.oracle)}, ratio {fmt9(self.ratio)}")
-        return lines
 
 
 def build_parser(only: str | None = None) -> _Parser:
@@ -195,16 +147,25 @@ def cmd_solve(args) -> int:
                   f"{oracle!r}", file=sys.stderr)
             return EXIT_VERIFY
 
-    counters = {key: sol.meta[key] for key in (
-        "candidates", "guesses", "max_cells", "cells", "search_complete") if key in sol.meta}
-    rep = RunReport(algo=args.algo, objective=args.objective, q=args.q, k=args.k,
-                    n=inst.n, instance=args.infile, value=sol.value,
-                    subset=sol.subset, eps=args.eps, seed=args.seed,
-                    threads=args.threads, oracle=oracle, ratio=ratio,
-                    wall_ms=wall, counters=counters)
-    print(rep.machine_line())
-    for line in rep.human_lines():
-        print(line)
+    parts = [f"algo={args.algo}", f"objective={args.objective}", f"q={fmt9(args.q)}",
+             f"k={args.k}"]
+    if args.eps is not None:
+        parts.append(f"eps={fmt9(args.eps)}")
+    parts += [f"n={inst.n}", f"instance={args.infile}"]
+    if args.seed is not None:
+        parts.append(f"seed={args.seed}")
+    parts.append(f"value={fmt9(sol.value)}")
+    if oracle is not None:
+        parts += [f"oracle={fmt9(oracle)}", f"ratio={fmt9(ratio)}"]
+    parts += [f"{key}={sol.meta[key]}" for key in (
+        "candidates", "cells", "guesses", "max_cells", "search_complete") if key in sol.meta]
+    print("RESULT " + " ".join(parts) + " subset=" + ",".join(map(str, sol.subset)))
+    # threads and wall time go on the '#' lines, off the RESULT line, so that
+    # identical seeds and flags reproduce it byte for byte
+    print(f"# {args.algo} on {args.infile}: {args.objective} q={fmt9(args.q)} k={args.k} "
+          f"-> value {fmt9(sol.value)} in {wall:.1f} ms (threads={args.threads})")
+    if oracle is not None:
+        print(f"# oracle {fmt9(oracle)}, ratio {fmt9(ratio)}")
     backend = "matrix" if inst.points is None else f"points, D={inst.dim}, {inst.norm}"
     print(f"# load: {inst.n} points ({backend}) in {load_ms:.1f} ms")
     if opt is not None:

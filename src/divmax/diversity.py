@@ -28,7 +28,7 @@ import numpy as np
 
 from .compositions import BLOCK_ENTRIES, enumerate_compositions
 from .errors import EnumerationCapError
-from .metric import MetricInstance, check_indices
+from .metric import MetricInstance, check_indices, sorted_support
 
 OBJECTIVE_KINDS = ("clique", "star", "bipartition")
 
@@ -128,7 +128,7 @@ def evaluate(inst: MetricInstance, obj: Objective, subset, *, eps: float | None 
         return float(batch_evaluate(obj.kind, inst.pow_submatrix(idx), np.arange(k)[None, :])[0])
     from .bisection import DEFAULT_BUDGET, least_split, min_bisection
 
-    support, mult = np.unique(idx, return_counts=True)
+    support, mult = sorted_support(idx)
     if support.size <= MULTISET_SPLIT_CAP:
         return least_split(inst.pow_submatrix(support), mult, np.ones_like(mult),
                            budget=DEFAULT_BUDGET)[1]

@@ -223,6 +223,17 @@ def check_indices(inst: MetricInstance, idx) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
+def sorted_support(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``idx`` in ascending order, and how many times
+    each occurs."""
+    idx = np.sort(idx)
+    edge = np.empty(idx.size + 1, dtype=bool)  # where a run of equal entries starts or ends
+    edge[0] = edge[-1] = True
+    np.not_equal(idx[1:], idx[:-1], out=edge[1:-1])
+    at = np.flatnonzero(edge)
+    return idx[at[:-1]], np.diff(at)
+
+
 def diameter_estimate(inst: MetricInstance) -> float:
     """Largest distance from point 0; the true diameter lies in [estimate, 2*estimate]."""
     return float(inst.dists_from(0).max())

@@ -1,5 +1,6 @@
 """Balanced-bisection scheme: star center, grid search, quality guarantees."""
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -217,14 +218,27 @@ def test_singleton_budget_refusal_comes_before_the_subset_search():
         min_bisection(inst, list(range(18)), 0.5, budget=1000)
 
 
-def test_singletons_above_twenty_keep_the_grid():
-    # the subset search's prefix table, 8 C(19, 8) entries at k = 22, would
-    # exceed BLOCK_ENTRIES, so the grid is scored as before
+def test_singletons_above_twenty_take_the_subset_search():
+    # the subset search grows its prefix table one block at a time, so any
+    # singleton grid within the budget takes it: at k = 24 the grid peaked at
+    # 13.4 MB traced.  On an integer lattice under l1 d^q is exact, and the
+    # pick and its weight are the grid's
     inst = dm.gen_uniform(200, 2, seed=24)
-    with mock.patch.object(bisection, "_best_subset", side_effect=AssertionError("searched")):
-        res = min_bisection(inst, list(range(22)), 0.5)
-    assert res.cells_used == 22 and res.provenance["search"] == "grid"
-    assert res.provenance["candidates"] == math.comb(21, 11)
+    for k in (22, 24):
+        tracemalloc.start()
+        try:
+            res = min_bisection(inst, list(range(k)), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.cells_used == k and res.provenance["search"] == "subset"
+        assert res.provenance["candidates"] == math.comb(k - 1, k // 2)
+        pts = np.random.default_rng(k).integers(0, 6, (k, 2)).astype(np.float64)
+        dq = dm.MetricInstance.from_points(pts, norm="l1").pow_submatrix(np.arange(k))
+        ones = np.ones(k, dtype=np.int64)
+        pick, weight, _, search = least_split(dq, ones, ones, budget=10 ** 7)
+        assert search["search"] == "subset" and (pick, weight) == _grid_split(dq)
+    assert peak <= 8e6
 
 
 def test_bisection_deterministic():

@@ -74,6 +74,14 @@ def test_check_indices_returns_int64_and_refuses_non_integers(square):
             metric.check_indices(square, bad)
 
 
+@given(st.lists(st.integers(0, 9), max_size=40))
+def test_sorted_support_matches_unique(idx):
+    support, mult = metric.sorted_support(np.array(idx, dtype=np.int64))
+    want = np.unique(np.array(idx, dtype=np.int64), return_counts=True)
+    assert support.dtype == np.int64 and mult.dtype == want[1].dtype
+    assert (support.tolist(), mult.tolist()) == (want[0].tolist(), want[1].tolist())
+
+
 def test_construction_validation():
     with pytest.raises(ValueError, match="at least 2"):
         dm.MetricInstance.from_points([[0.0, 0.0]])
